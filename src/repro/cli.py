@@ -559,6 +559,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         use_cache=False if args.no_cache else None,
     )
+    try:
+        return _run_engine_command(args, engine)
+    finally:
+        # Sweeps the operand arena: without it the segments this run
+        # published outlive the process (atexit only drops leases).
+        engine.close()
+
+
+def _run_engine_command(args, engine) -> int:
+    """Run an experiment / sweep / campaign / ``all`` on ``engine``."""
     # Exported via the environment so engine pool workers inherit it.
     configure_injection_runtime(args.injection_runtime)
     if args.experiment == "sweep":

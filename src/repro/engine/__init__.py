@@ -4,7 +4,7 @@ The engine turns the paper's serial per-figure simulation loops into one
 schedulable workload: experiments describe their measurements as
 :class:`SimJob`\\ s, and :class:`SimEngine` executes them on a selectable
 backend (``reference``, batched ``fast``, or whole-network ``vector`` —
-conformance-tested bit-compatible, with ``vector`` ≥25x over the
+conformance-tested bit-compatible, with ``vector`` about 17x over the
 reference), stacks whole networks of layer jobs into single
 :class:`NetworkJob` folds, fans cache-missing jobs out over worker
 processes, and memoizes every result on disk keyed by a content hash of

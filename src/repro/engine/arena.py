@@ -2,9 +2,9 @@
 
 Campaign shards fan out over pool workers and daemon requests, and every
 process used to rebuild the same large read-only operands — the
-fault-free prefix activations and the lowered BLAS weight matrices — in
-its own address space.  The arena stores each such operand bundle once,
-in a POSIX shared-memory segment (:mod:`multiprocessing.shared_memory`),
+fault-free prefix activations and accumulators — in its own address
+space.  The arena stores each such operand bundle once, in a POSIX
+shared-memory segment (:mod:`multiprocessing.shared_memory`),
 content-addressed by a caller-supplied key; every other process attaches
 the segment zero-copy and reads the arrays in place.  Payload bytes
 round-trip exactly (the segment holds the raw array buffers), so an
@@ -19,8 +19,8 @@ Lifecycle is lease-based and SIGKILL-safe:
 * :meth:`OperandArena.release_all` (wired to engine/daemon shutdown and
   ``atexit``) drops this process's leases; the mappings themselves are
   kept until process exit, because consumers (the memoized fault-free
-  pass, adopted lowered weights) hold numpy views into them and
-  unmapping under a live view is a segfault (see :class:`ArenaEntry`);
+  pass) hold numpy views into them and unmapping under a live view is
+  a segfault (see :class:`ArenaEntry`);
 * :meth:`OperandArena.sweep` — run on shutdown and by ``read-repro
   cache gc`` — removes leases whose pid is dead (a SIGKILLed worker
   cannot clean up, but its pid stops existing) and unlinks any segment

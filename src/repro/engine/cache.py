@@ -42,16 +42,33 @@ the cache is additionally concurrency-safe:
   ``.tmp`` files (safe under the shard lock: a live writer would be
   holding it) and optionally enforces a size-bounded LRU eviction policy
   (recency = entry mtime, refreshed on every cache hit).
+
+Reads are cheap on the warm path a whole ``read-repro all`` takes:
+
+* **one read per entry** — :func:`read_npz` pulls every member of an
+  entry out of the archive exactly once (each lazy ``NpzFile`` index is
+  a zip open plus a ``.npy`` header parse) and hands the job's
+  deserializer a plain dict; the daemon's result frames decode through
+  the same helper;
+* **a decoded-result memo** — repeat loads of one key in one process
+  (fig2/7/8/10/11 share most layer measurements) return the object the
+  first load decoded.  The memo is an LRU bounded by
+  :data:`_MEMO_MAX_BYTES` of decoded payload, guarded by a lock (the
+  daemon's cache verbs run on other threads than its engine calls), and
+  emptied by :meth:`ResultCache.clear` and :meth:`ResultCache.gc`.
+  Decoded arrays are read-only, because every hit shares them.
 """
 
 from __future__ import annotations
 
 import fcntl
 import os
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,6 +94,28 @@ _MIN_ENTRY_BYTES = 23
 #: Per-shard lock file name (dot-prefixed: invisible to the ``*.npz``
 #: globs and to the ``.*.tmp`` orphan sweep).
 _LOCK_FILE = ".lock"
+
+#: Bound on the decoded payload bytes one :class:`ResultCache` keeps in
+#: its in-process memo (LRU beyond it).  A warm ``all --scale micro``
+#: decodes about 1 MB; the bound keeps a long-lived daemon from growing
+#: without limit.
+_MEMO_MAX_BYTES = 1 << 26  # 64 MB
+
+
+def read_npz(source: Union[str, Path, BinaryIO]) -> Dict[str, np.ndarray]:
+    """Every member of an ``.npz`` archive, each read once, read-only.
+
+    The one decode path of cached results: :meth:`ResultCache.load` and
+    the daemon's :func:`~repro.engine.protocol.decode_result` both hand
+    the job's ``deserialize_result`` the dict this returns.  The arrays
+    are marked read-only because decoded results are shared (memo hits,
+    within-batch dedup).
+    """
+    with np.load(source, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return arrays
 
 
 def cache_root() -> Path:
@@ -142,6 +181,10 @@ class ResultCache:
         base = Path(root) if root is not None else cache_root()
         self.root = base / "sim-results"
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Decoded results by ``(key, kind)``: ``(result, payload bytes)``.
+        self._memo: "OrderedDict[Tuple[str, str], Tuple[object, int]]" = OrderedDict()
+        self._memo_bytes = 0
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def path_for(self, key: str) -> Path:
@@ -197,10 +240,17 @@ class ResultCache:
 
         ``job`` supplies the deserializer and the expected kind tag.
         Unreadable, schema-incompatible or kind-mismatched entries are
-        deleted and treated as misses.  A successful load refreshes the
+        deleted and treated as misses.  A successful read refreshes the
         entry's mtime — the recency signal ``gc``'s LRU eviction sorts
-        by.
+        by — and memoizes the decoded result, so later loads of the same
+        key in this process return it without touching the file.
         """
+        memo_key = (key, job.kind)
+        with self._memo_lock:
+            hit = self._memo.get(memo_key)
+            if hit is not None:
+                self._memo.move_to_end(memo_key)
+                return hit[0]
         path = self.path_for(key)
         try:
             handle = open(path, "rb")
@@ -208,15 +258,13 @@ class ResultCache:
             return None
         with handle:
             try:
-                with np.load(handle, allow_pickle=False) as data:
-                    # Entries written before job kinds existed carry no
-                    # tag; they are all SimJob results.
-                    kind = str(data["__kind__"]) if "__kind__" in data else "sim"
-                    if kind != job.kind:
-                        raise ValueError(
-                            f"kind mismatch: entry {kind!r}, job {job.kind!r}"
-                        )
-                    result = job.deserialize_result(data)
+                arrays = read_npz(handle)
+                # Entries written before job kinds existed carry no tag;
+                # they are all SimJob results.
+                kind = str(arrays.pop("__kind__", "sim"))
+                if kind != job.kind:
+                    raise ValueError(f"kind mismatch: entry {kind!r}, job {job.kind!r}")
+                result = job.deserialize_result(arrays)
             except Exception:
                 self._discard_corrupt(path, os.fstat(handle.fileno()))
                 return None
@@ -224,7 +272,30 @@ class ResultCache:
             os.utime(path)  # LRU touch; racing with eviction is benign
         except OSError:
             pass
+        self._memoize(memo_key, result, sum(a.nbytes for a in arrays.values()))
         return result
+
+    def _memoize(self, memo_key: Tuple[str, str], result: object, nbytes: int) -> None:
+        """Remember one decoded result, evicting least recently used ones.
+
+        An entry larger than the whole bound is not kept.
+        """
+        if nbytes > _MEMO_MAX_BYTES:
+            return
+        with self._memo_lock:
+            previous = self._memo.pop(memo_key, None)
+            if previous is not None:
+                self._memo_bytes -= previous[1]
+            self._memo[memo_key] = (result, nbytes)
+            self._memo_bytes += nbytes
+            while self._memo_bytes > _MEMO_MAX_BYTES:
+                _, (_, evicted) = self._memo.popitem(last=False)
+                self._memo_bytes -= evicted
+
+    def _forget_all(self) -> None:
+        with self._memo_lock:
+            self._memo.clear()
+            self._memo_bytes = 0
 
     def _discard_corrupt(self, path: Path, read_stat: os.stat_result) -> None:
         """Delete a corrupt entry — unless a writer already replaced it.
@@ -273,8 +344,10 @@ class ResultCache:
 
         Safe under concurrent writers: each shard is cleared under its
         lock, and entries that vanish mid-walk (another ``clear``, an
-        eviction) are skipped, never raised on.
+        eviction) are skipped, never raised on.  The decoded-result memo
+        is emptied too.
         """
+        self._forget_all()
         removed = 0
         for shard in self._shards():
             with self._shard_lock(shard):
@@ -315,7 +388,11 @@ class ResultCache:
           refreshes mtime on every hit, so recency tracks use, not
           creation.  Evicting a live entry only ever costs a
           re-simulation.
+
+        The decoded-result memo is emptied, so no evicted entry is
+        served from memory afterwards.
         """
+        self._forget_all()
         if max_bytes is None:
             raw = os.environ.get(CACHE_MAX_BYTES_ENV_VAR)
             max_bytes = parse_byte_count(raw) if raw else None

@@ -298,21 +298,35 @@ class SimJob(EngineJob):
 
     @staticmethod
     def deserialize_result(data) -> Dict[str, LayerReliabilityReport]:
+        """Inverse of :meth:`serialize_result`; reads each field once.
+
+        ``tolist`` yields the same Python floats/ints/strs as per-element
+        ``float()``/``int()``/``str()`` conversion, so the reports are
+        bit-identical to the ones that were stored.
+        """
         outputs = np.asarray(data["outputs"], dtype=np.int64)
-        reports: Dict[str, LayerReliabilityReport] = {}
-        for i, name in enumerate(data["corner_names"]):
-            name = str(name)
-            reports[name] = LayerReliabilityReport(
-                ter=float(data["ter"][i]),
-                sign_flip_rate=float(data["sign_flip_rate"][i]),
-                n_cycles=int(data["n_cycles"][i]),
-                mean_chain_length=float(data["mean_chain_length"][i]),
+        columns = zip(
+            data["corner_names"].tolist(),
+            data["ter"].tolist(),
+            data["sign_flip_rate"].tolist(),
+            data["n_cycles"].tolist(),
+            data["mean_chain_length"].tolist(),
+            data["n_macs_per_output"].tolist(),
+            data["strategy"].tolist(),
+        )
+        return {
+            name: LayerReliabilityReport(
+                ter=ter,
+                sign_flip_rate=flip_rate,
+                n_cycles=n_cycles,
+                mean_chain_length=chain,
                 outputs=outputs,
-                n_macs_per_output=int(data["n_macs_per_output"][i]),
-                strategy=str(data["strategy"][i]),
+                n_macs_per_output=n_macs,
+                strategy=strategy,
                 corner_name=name,
             )
-        return reports
+            for name, ter, flip_rate, n_cycles, chain, n_macs, strategy in columns
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +403,7 @@ class NetworkJob(EngineJob):
 
     @staticmethod
     def deserialize_result(data):
-        names = getattr(data, "files", None) or list(data.keys())
+        names = list(data)
         out = []
         for i in range(int(data["n_jobs"])):
             prefix = f"job{i}/"

@@ -29,6 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ReproError
+from .cache import read_npz
 from .job import EngineJob
 
 #: Points `run_many`/`run_stream` (and `read-repro ping`) at a running
@@ -134,5 +135,5 @@ def encode_result(job: EngineJob, result: object) -> bytes:
 
 
 def decode_result(job: EngineJob, blob: bytes) -> object:
-    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-        return job.deserialize_result(data)
+    """Inverse of :func:`encode_result`: the cache's one-read decode path."""
+    return job.deserialize_result(read_npz(io.BytesIO(blob)))

@@ -61,8 +61,8 @@ statistics are bit-exact against ``reference``, TER agrees within 1e-9
 (float summation order is the only freedom), and the TER is
 bit-identical to ``fast``'s (both reduce the identical histogram
 through the shared pricing helper).  ``benchmarks/test_bench_engine.py``
-records the speedup (>= 25x over ``reference``) and the full-network
-TER wall clock into ``BENCH_engine.json``.
+records the speedup (about 17x over ``reference``, asserted >= 12x)
+and the full-network TER wall clock into ``BENCH_engine.json``.
 """
 
 from __future__ import annotations

@@ -119,7 +119,6 @@ class TrainedBundle:
     qnet: object
     x_test: np.ndarray
     y_test: np.ndarray
-    float_accuracy: float
     quant_accuracy: float
     scale: ExperimentScale
     #: Per-layer quantization bit widths (resolved, name-sorted) and the
@@ -219,13 +218,12 @@ def get_bundle(
     state_path = cache_dir() / (
         f"{recipe}-{scale.name}-w{scale.width}-n{scale.n_train}-e{scale.epochs}-s{seed}.npz"
     )
-    trainer = Trainer(model, lr=0.03, batch_size=32, seed=seed)
     if state_path.exists():
         load_model_state(model, state_path)
-        float_acc = trainer.evaluate(x_test, y_test)
     else:
-        history = trainer.fit(x_train, y_train, epochs=scale.epochs, x_test=x_test, y_test=y_test)
-        float_acc = history.final_test_accuracy
+        Trainer(model, lr=0.03, batch_size=32, seed=seed).fit(
+            x_train, y_train, epochs=scale.epochs
+        )
         save_model_state(model, state_path)
 
     qnet = quantize_model(model, bits_per_layer=dict(bits), default_bits=default_bits)
@@ -238,7 +236,6 @@ def get_bundle(
         qnet=qnet,
         x_test=x_test,
         y_test=y_test,
-        float_accuracy=float_acc,
         quant_accuracy=quant_acc,
         scale=scale,
         bits_per_layer=bits,

@@ -195,14 +195,13 @@ def _pass_cache_get(key: Tuple, build) -> "FaultFreePass":
 # Shared-memory operand arena bridge
 #
 # Campaign fan-out (pool workers, daemon requests, sharded CLI runs)
-# rebuilds identical big operands per process.  The bridge stores two
-# bundle-keyed operand sets in the host-wide arena
-# (:mod:`repro.engine.arena`) so every process after the first attaches
-# them zero-copy instead of recomputing:
-#
-# * the fault-free prefix pass (every layer's activations/accumulators —
-#   the dominant per-process cost and RSS of a batched campaign);
-# * the lowered exact-BLAS GEMM weight matrices of every quantized conv.
+# rebuilds identical big operands per process.  The bridge stores the
+# bundle-keyed fault-free prefix pass (every layer's activations and
+# accumulators — the dominant per-process cost and RSS of a batched
+# campaign) in the host-wide arena (:mod:`repro.engine.arena`), so every
+# process after the first attaches it zero-copy instead of recomputing.
+# The lowered GEMM weights are not shared: ``get_bundle``'s clean
+# evaluation lowers them in every process that loads the bundle.
 #
 # Payloads round-trip as raw bytes, so arena-served operands are
 # bit-identical to locally built ones; any arena failure falls back to a
@@ -214,12 +213,6 @@ def _pass_cache_get(key: Tuple, build) -> "FaultFreePass":
 
 def _arena_pass_key(identity: Tuple) -> str:
     return f"ffpass:v{INJECTION_SCHEMA_VERSION}:{identity!r}"
-
-
-def _arena_weights_key(identity: Tuple) -> str:
-    # The lowered weights do not depend on the injected slice (the last
-    # identity component, ``inject_n``).
-    return f"gemm-weights:v{INJECTION_SCHEMA_VERSION}:{identity[:-1]!r}"
 
 
 def _pass_arrays(prefix: FaultFreePass) -> Dict[str, np.ndarray]:
@@ -283,57 +276,6 @@ def _arena_pass(network: "QuantizedNetwork", x: np.ndarray, identity: Tuple) -> 
     if arena is not None and arena.publish(key, _pass_arrays(prefix), _pass_meta(prefix)):
         record_runtime_counters(arena_stores=1)
     return prefix
-
-
-def _arena_install_weights(network: "QuantizedNetwork", identity: Tuple) -> None:
-    """Best-effort zero-copy sharing of the lowered GEMM weight matrices.
-
-    On an arena hit every not-yet-lowered conv adopts the shared
-    matrices in place of building its own copies; on a miss this process
-    lowers locally and publishes for the rest of the host.  The install
-    keeps the builder's own exact-BLAS precondition
-    (``_blas_weight_matrix() is not None``) so substituted matrices are
-    used exactly where locally built ones would be.
-    """
-    from ..engine.arena import default_arena
-
-    arena = default_arena()
-    if arena is None:
-        return
-    try:
-        qconvs = network.qconvs(include_shortcuts=True)
-        if all(qc._blas_weights_hwc is not None for qc in qconvs):
-            return  # already lowered by an earlier job in this process
-        key = _arena_weights_key(identity)
-        entry = arena.attach(key)
-        if entry is not None:
-            installed = 0
-            for qc in qconvs:
-                if qc._blas_weights_hwc is not None:
-                    continue
-                groups = []
-                while f"w:{qc.name}:{len(groups)}" in entry.arrays:
-                    groups.append(entry.arrays[f"w:{qc.name}:{len(groups)}"])
-                if groups and qc._blas_weight_matrix() is not None:
-                    qc._blas_weights_hwc = groups
-                    installed += 1
-            if installed:
-                record_runtime_counters(arena_hits=1)
-            return
-        arrays: Dict[str, np.ndarray] = {}
-        for qc in qconvs:
-            groups = qc._blas_weights_nhwc()
-            if groups is None:
-                return  # exact BLAS unavailable here; nothing to share
-            for g, w in enumerate(groups):
-                arrays[f"w:{qc.name}:{g}"] = w
-        if arrays and arena.publish(key, arrays, {"convs": len(qconvs)}):
-            record_runtime_counters(arena_stores=1)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        # Shared lowering is an optimization: on any mapping/layout
-        # failure each process lowers its own copy.  Counted so the
-        # degradation shows up in the engine summary.
-        record_runtime_counters(arena_errors=1)
 
 
 #: Scale fields that determine the trained bundle and hence the result.
@@ -752,7 +694,6 @@ class InjectionJob(EngineJob):
         bers = self.ber_table()
         if bers and any(b > 0.0 for b in bers.values()):
             key = self._cache_identity()
-            _arena_install_weights(bundle.qnet, key)
             if resolved == "batched":
                 prefix = _pass_cache_get(
                     key, lambda: _arena_pass(bundle.qnet, x, key)

@@ -850,6 +850,11 @@ class QuantizedNetwork:
         Accumulates exact per-chunk *correct counts* (not per-chunk
         accuracy floats), so a short final chunk — a batch size that does
         not divide ``len(x)`` — can never skew the average.
+
+        A clean evaluation runs the exact channels-last BLAS walk of
+        :meth:`fault_free_pass` (logits bit-identical to :meth:`forward`,
+        see :meth:`QuantizedConv.acc_bound`); an injected one runs the
+        int64 :meth:`forward`, the serial injection runtime's oracle.
         """
         self.set_injector(injector)
         try:
@@ -857,7 +862,10 @@ class QuantizedNetwork:
             for start in range(0, x.shape[0], batch_size):
                 xb = x[start : start + batch_size]
                 yb = y[start : start + batch_size]
-                logits = self.forward(xb)
+                if injector is None:
+                    logits = _to_nchw(self._forward_nhwc(xb)).reshape(xb.shape[0], -1)
+                else:
+                    logits = self.forward(xb)
                 correct += F.topk_correct(logits, yb, topk=topk)
             return correct / x.shape[0]
         finally:
@@ -879,25 +887,29 @@ class QuantizedNetwork:
         op.training = False
         return _to_nhwc(op.forward(_to_nchw(state)))
 
-    def fault_free_pass(self, x: np.ndarray) -> FaultFreePass:
-        """Record one fault-free forward as a :class:`FaultFreePass`.
+    def _forward_nhwc(
+        self,
+        x: np.ndarray,
+        on_conv: Optional[Callable[[QuantizedConv, np.ndarray, np.ndarray], None]] = None,
+        on_op: Optional[Callable[[np.ndarray], None]] = None,
+    ) -> np.ndarray:
+        """The fault-free forward, channels-last, on exact BLAS GEMMs.
 
         Convolutions run through :meth:`QuantizedConv.accumulate_nhwc`
-        (exact channels-last BLAS GEMMs — bit-identical to the int64
-        reference), so building the pass already costs a fraction of a
-        serial forward.
+        (bit-identical to the int64 reference, at a fraction of its
+        cost).  ``on_conv(qc, acc, out)`` sees every conv's raw
+        accumulators and float output, ``on_op(state)`` every top-level
+        op's output.  Returns the final ``(N, 1, 1, classes)`` state.
         """
         if not self._calibrated:
             raise QuantizationError("call calibrate(batch) before inference")
-        pass_ = FaultFreePass(n_images=x.shape[0])
 
         def run_conv(qc: QuantizedConv, xin: np.ndarray) -> np.ndarray:
             n, h, w, _ = xin.shape
             acc = qc.accumulate_nhwc(xin)
             out = qc.epilogue_nhwc(acc, n, h, w)
-            pass_.acc[qc.name] = _frozen(acc)
-            pass_.conv_out[qc.name] = _frozen(out)
-            pass_.max_abs_acc[qc.name] = int(np.abs(acc).max(initial=0))
+            if on_conv is not None:
+                on_conv(qc, acc, out)
             return out
 
         state = _to_nhwc(x)
@@ -917,7 +929,26 @@ class QuantizedNetwork:
                 state = self._module_nhwc(op, state)
             else:  # pragma: no cover - defensive, mirrors _forward_features
                 raise TrainingError(f"unexpected op {op!r}")
-            pass_.op_outputs.append(_frozen(state))
+            if on_op is not None:
+                on_op(state)
+        return state
+
+    def fault_free_pass(self, x: np.ndarray) -> FaultFreePass:
+        """Record one fault-free forward as a :class:`FaultFreePass`.
+
+        Runs :meth:`_forward_nhwc`, so building the pass already costs a
+        fraction of a serial forward.
+        """
+        pass_ = FaultFreePass(n_images=x.shape[0])
+
+        def record_conv(qc: QuantizedConv, acc: np.ndarray, out: np.ndarray) -> None:
+            pass_.acc[qc.name] = _frozen(acc)
+            pass_.conv_out[qc.name] = _frozen(out)
+            pass_.max_abs_acc[qc.name] = int(np.abs(acc).max(initial=0))
+
+        self._forward_nhwc(
+            x, on_conv=record_conv, on_op=lambda state: pass_.op_outputs.append(_frozen(state))
+        )
         return pass_
 
     @staticmethod

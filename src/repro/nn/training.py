@@ -10,7 +10,7 @@ meaningful accuracy to degrade.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -56,11 +56,6 @@ class TrainHistory:
 
     loss: List[float] = field(default_factory=list)
     train_accuracy: List[float] = field(default_factory=list)
-    test_accuracy: List[float] = field(default_factory=list)
-
-    @property
-    def final_test_accuracy(self) -> float:
-        return self.test_accuracy[-1] if self.test_accuracy else float("nan")
 
 
 class Trainer:
@@ -95,8 +90,6 @@ class Trainer:
         x_train: np.ndarray,
         y_train: np.ndarray,
         epochs: int,
-        x_test: Optional[np.ndarray] = None,
-        y_test: Optional[np.ndarray] = None,
         verbose: bool = False,
     ) -> TrainHistory:
         """Train for ``epochs`` passes; returns the metric history."""
@@ -114,13 +107,10 @@ class Trainer:
                 n_batches += 1
             history.loss.append(epoch_loss / max(n_batches, 1))
             history.train_accuracy.append(self.evaluate(x_train[:512], y_train[:512]))
-            if x_test is not None:
-                history.test_accuracy.append(self.evaluate(x_test, y_test))
             if verbose:  # pragma: no cover - console output
-                test = history.test_accuracy[-1] if history.test_accuracy else float("nan")
                 print(
                     f"epoch {epoch + 1}/{epochs}: loss={history.loss[-1]:.4f} "
-                    f"train_acc={history.train_accuracy[-1]:.3f} test_acc={test:.3f}"
+                    f"train_acc={history.train_accuracy[-1]:.3f}"
                 )
             if (epoch + 1) % self.lr_decay_every == 0:
                 self.optimizer.lr *= self.lr_decay

@@ -16,6 +16,9 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +260,68 @@ class TestSigkillSafety:
         probe = _open_shm(_segment_name("k"), create=True, size=16)
         probe.close()
         _unlink_segment(_segment_name("k"))
+
+
+#: Runs ``read-repro`` with ``OperandArena.publish`` wrapped to log the
+#: name of every segment the run creates (argv: log path, CLI args).
+_LOGGING_CLI = """
+import sys
+from repro.engine import arena
+from repro.cli import main
+
+publish = arena.OperandArena.publish
+
+def logged(self, key, arrays, meta=None):
+    created = publish(self, key, arrays, meta)
+    if created:
+        with open(sys.argv[1], "a") as log:
+            log.write(arena._segment_name(key) + "\\n")
+    return created
+
+arena.OperandArena.publish = logged
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.concurrency
+class TestCliExit:
+    def test_cli_exit_leaves_no_segments(self, tmp_path):
+        """A normal ``read-repro`` exit reclaims what the run published.
+
+        Without the engine shutdown sweep only ``atexit``'s lease drop
+        runs, and every segment outlives the process in ``/dev/shm``.
+        """
+        from repro.engine.arena import _open_shm
+        from repro.experiments.common import SCALES, get_bundle, save_model_state
+
+        micro = SCALES["micro"]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        # Seed the trained snapshot so the run does not retrain.
+        save_model_state(
+            get_bundle("vgg16_cifar10", micro).model,
+            cache / f"vgg16_cifar10-micro-w{micro.width}-n{micro.n_train}"
+            f"-e{micro.epochs}-s0.npz",
+        )
+        registry = tmp_path / "arena"
+        log = tmp_path / "published.txt"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            REPRO_CACHE=str(cache),
+            REPRO_ARENA_DIR=str(registry),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOGGING_CLI, str(log), "campaign",
+             "--recipe", "vgg16_cifar10", "--scale", "micro", "--jobs", "1",
+             "--max-trials", "2", "--shard-trials", "2", "--max-shards", "1",
+             "--artifacts", str(tmp_path / "artifacts")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        published = log.read_text().split() if log.exists() else []
+        assert published, "the run published no segment: the test proves nothing"
+        assert sorted(p.name for p in registry.iterdir() if p.name != ".lock") == []
+        for name in published:
+            with pytest.raises(FileNotFoundError):
+                _open_shm(name).close()

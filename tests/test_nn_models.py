@@ -129,6 +129,25 @@ class TestTraining:
         history = trainer.fit(x, y, epochs=3)
         assert history.loss[-1] < history.loss[0]
 
+    def test_evaluation_between_epochs_does_not_perturb_training(self):
+        """Snapshots trained while a test set was evaluated after every
+        epoch must equal ones trained without: evaluation is read-only."""
+        ds = SyntheticImageDataset(DatasetSpec(name="t", n_classes=3, image_size=16))
+        x, y = ds.sample(64, stream_seed=0)
+        x_test, y_test = ds.sample(24, stream_seed=1)
+        trained = []
+        for evaluate_between in (True, False):
+            model = build_model("resnet18", n_classes=3, width=0.0625, seed=0)
+            trainer = Trainer(model, lr=0.02, batch_size=32, seed=0)
+            if evaluate_between:
+                for _ in range(2):
+                    trainer.fit(x, y, epochs=1)
+                    trainer.evaluate(x_test, y_test)
+            else:
+                trainer.fit(x, y, epochs=2)
+            trained.append([p.data.copy() for p in model.parameters()])
+        assert all(np.array_equal(a, b) for a, b in zip(*trained))
+
     def test_evaluate_in_unit_interval(self):
         ds = SyntheticImageDataset(DatasetSpec(name="t", n_classes=3, image_size=16))
         x, y = ds.sample(24, stream_seed=0)

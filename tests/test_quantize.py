@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from repro.errors import QuantizationError
+from repro.experiments.common import SCALES, get_bundle
 from repro.nn.datasets import DatasetSpec, SyntheticImageDataset
 from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.models import build_model
 from repro.nn.quantize import (
     QuantizedNetwork,
+    _to_nchw,
     fold_batchnorm,
     quantize_weights,
 )
 
 RNG = np.random.default_rng(0)
+MICRO = SCALES["micro"]
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +81,12 @@ class TestQuantizeWeights:
 
 class TestQuantizedNetwork:
     def test_requires_calibration(self, trained_setup):
-        model, x, _ = trained_setup
+        model, x, y = trained_setup
         qnet = QuantizedNetwork(model)
         with pytest.raises(QuantizationError):
             qnet.forward(x[:2])
+        with pytest.raises(QuantizationError):  # the clean BLAS walk too
+            qnet.evaluate(x[:2], y[:2])
 
     def test_quantized_close_to_float(self, trained_setup):
         model, x, y = trained_setup
@@ -163,3 +168,69 @@ class TestQuantizedNetwork:
         qnet = QuantizedNetwork(model)
         with pytest.raises(QuantizationError):
             qnet.qconvs()[0].quantize_input(x[:1])
+
+
+def _int64_pass(qnet, x):
+    """Logits and per-conv int64 accumulators of the channels-first forward."""
+    accs = {}
+
+    def capture(acc, qc):
+        accs[qc.name] = acc.copy()
+        return acc
+
+    qnet.set_injector(capture)
+    try:
+        return qnet.forward(x), accs
+    finally:
+        qnet.set_injector(None)
+
+
+def _blas_pass(qnet, x):
+    """Logits and per-conv accumulators of the channels-last BLAS walk."""
+    accs = {}
+    state = qnet._forward_nhwc(
+        x, on_conv=lambda qc, acc, out: accs.__setitem__(qc.name, acc)
+    )
+    return _to_nchw(state).reshape(x.shape[0], -1), accs
+
+
+class TestCleanEvaluationOracle:
+    """Clean ``evaluate`` runs the exact channels-last BLAS walk; the int64
+    ``forward`` (the serial injection oracle) must agree bit for bit on
+    every conv family, the 1x1-lowered classifier head included."""
+
+    @pytest.mark.parametrize(
+        "recipe,family",
+        [
+            ("vgg16_cifar10", "dense"),
+            ("resnet18_cifar10", "shortcut"),
+            ("mobilenet_cifar10", "depthwise"),
+        ],
+    )
+    def test_blas_walk_matches_int64_forward(self, recipe, family):
+        bundle = get_bundle(recipe, MICRO)
+        qnet, x, y = bundle.qnet, bundle.x_test, bundle.y_test
+        convs = qnet.qconvs(include_shortcuts=True)
+        head = convs[-1]
+        assert head.name == "fc" and head.weight_q.shape[2:] == (1, 1)
+        if family == "shortcut":
+            assert any("shortcut" in qc.name for qc in convs)
+        if family == "depthwise":
+            assert any(qc.groups > 1 and qc.weight_q.shape[1] == 1 for qc in convs)
+
+        ref_logits, ref_accs = _int64_pass(qnet, x)
+        logits, accs = _blas_pass(qnet, x)
+        assert np.array_equal(logits, ref_logits)
+        assert list(accs) == list(ref_accs)
+        for name, acc in ref_accs.items():
+            assert np.array_equal(accs[name], acc), name
+
+        def identity(acc, qc):  # any injector routes evaluate to forward
+            return acc
+
+        for batch_size, topk in ((128, 1), (7, 1), (64, 3)):
+            clean = qnet.evaluate(x, y, topk=topk, batch_size=batch_size)
+            oracle = qnet.evaluate(
+                x, y, topk=topk, batch_size=batch_size, injector=identity
+            )
+            assert clean == oracle

@@ -49,12 +49,15 @@ from repro.engine import (
 )
 from repro.engine.protocol import (
     ProtocolError,
+    decode_result,
+    encode_result,
     recv_message,
     send_frame,
     send_message,
 )
 from repro.engine.server import _rss_kb
 from repro.experiments import SCALES, run_all
+from repro.faults.injection_job import InjectionJob, InjectionResult
 from repro.hw.variations import PAPER_CORNERS
 
 pytestmark = pytest.mark.concurrency
@@ -180,6 +183,24 @@ class TestProtocol:
             left.sendall(b"\xff\xff\xff\xff")  # 4 GiB length prefix
             with pytest.raises(ProtocolError):
                 recv_message(right)
+
+    def test_result_frame_round_trip_is_byte_identical(self):
+        """Result frames decode through the cache's one-read path."""
+        sim = make_job(5)
+        injection = InjectionResult(
+            trial_accuracies=(0.25, 0.5), flips_injected=3,
+            trial_correct=(8, 16), n_images=32,
+        )
+        # The codecs only use the job's (static) serializers.
+        for job, result in ((sim, solo_results([sim])[0]), (InjectionJob, injection)):
+            decoded = decode_result(job, encode_result(job, result))
+            before = job.serialize_result(result)
+            after = job.serialize_result(decoded)
+            assert list(before) == list(after)
+            for name, array in before.items():
+                assert after[name].dtype == array.dtype, name
+                assert after[name].tobytes() == array.tobytes(), name
+        assert decoded == injection
 
 
 # ---------------------------------------------------------------------- #
