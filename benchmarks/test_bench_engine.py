@@ -5,8 +5,8 @@ trajectory *and* into a machine-readable ``BENCH_engine.json`` at the
 repository root (CI uploads it as an artifact):
 
 * per-backend wall clock of the canonical micro-scale batch —
-  ``reference`` vs ``fast`` vs ``vector`` — with the asserted bound that
-  ``vector`` is at least 10x faster than ``reference``;
+  ``reference`` vs ``vector`` — with an asserted floor on ``vector``'s
+  speedup over ``reference`` (``MIN_VECTOR_SPEEDUP``);
 * warm (cache-hit) vs cold sweep — what re-running any figure costs now;
 * the ``read-repro all --jobs N``-style engine sweep (vector backend,
   cached) vs the serial seed path (reference backend, no cache).
@@ -36,21 +36,18 @@ from bench_util import BenchRecorder, env_float, run_once, timed, timed_interlea
 #: Machine-readable bench record, at the repository root.
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
-#: The asserted floor on the vector backend's speedup over reference.
-#: Overridable for noisy shared hosts via $REPRO_BENCH_MIN_SPEEDUP.
-#: The honest interleaved best-of-N measurement on the 1-core reference
-#: host lands at 16-18x with ±20 % wall-clock noise; the floor is pinned
-#: below the noisiest observation, not at the mean.
-MIN_VECTOR_SPEEDUP = env_float("REPRO_BENCH_MIN_SPEEDUP", 12.0)
+#: The measured speedup band behind ``MIN_VECTOR_SPEEDUP``, kept in the
+#: bench record.  Reference prices the same delay histogram as vector,
+#: so the ratio measures the trace simulation alone.
+VECTOR_SPEEDUP_BAND = (
+    "7.4-10.4x over reference (reference 0.69-0.85 s, vector "
+    "0.072-0.102 s): 12 interleaved best-of-5 runs on a 2-vCPU x86-64 host"
+)
 
-#: Floor on the fast backend's speedup over reference.  The histogram
-#: backend is a modest constant-factor win: interleaved best-of-N lands
-#: at 1.5-1.8x on the 1-core reference host, and the band is host-noise
-#: wide — an A/B across the window where the ratio drifted 1.71 -> 1.54
-#: showed byte-identical backend code with both absolute wall clocks
-#: drifting together, i.e. shared-runner contention, not a regression.
-#: The floor sits below the noisiest observation.
-MIN_FAST_SPEEDUP = env_float("REPRO_BENCH_MIN_FAST_SPEEDUP", 1.2)
+#: The asserted floor on the vector backend's speedup over reference:
+#: 0.8x the low end of ``VECTOR_SPEEDUP_BAND``, not its mean.
+#: Overridable for noisy shared hosts via $REPRO_BENCH_MIN_SPEEDUP.
+MIN_VECTOR_SPEEDUP = env_float("REPRO_BENCH_MIN_SPEEDUP", 5.9)
 
 #: Ceiling (seconds) on one stacked full-network TER pass at the
 #: ``small``-scale network shape, vector backend.  Measured ~0.25s on
@@ -192,28 +189,25 @@ def make_jobs(n_jobs=6, n_pixels=64, c_eff=96, k=16, seed=7):
 
 
 def test_bench_engine_backends(benchmark):
-    """reference vs fast vs vector on the canonical micro-scale batch."""
+    """reference vs vector on the canonical micro-scale batch."""
     jobs = micro_stream_jobs()
     engines = {
         name: SimEngine(backend=name, use_cache=False)
-        for name in ("reference", "fast", "vector")
+        for name in ("reference", "vector")
     }
     warm = {}
     for name, engine in engines.items():  # warm numpy paths and the plan memo
         warm[name] = engine.run_many(jobs)
-    # The speedup only counts if the answers agree: fast and vector
-    # reduce the identical delay histogram, so their TERs are bit-equal.
-    for fast_res, vec_res in zip(warm["fast"], warm["vector"]):
-        for corner in fast_res:
-            assert fast_res[corner].ter == vec_res[corner].ter
+    # The speedup only counts if the answers agree: both backends reduce
+    # the identical delay histogram, so their TERs are bit-equal.
+    for ref_res, vec_res in zip(warm["reference"], warm["vector"]):
+        for corner in ref_res:
+            assert ref_res[corner].ter == vec_res[corner].ter
     contenders = [lambda e=e: e.run_many(jobs) for e in engines.values()]
     first = dict(zip(engines, timed_interleaved(contenders, repeats=5)))
     clocks = dict(first)
     retry = None
-    if (
-        first["reference"] / first["vector"] < MIN_VECTOR_SPEEDUP
-        or first["reference"] / first["fast"] < MIN_FAST_SPEEDUP
-    ):
+    if first["reference"] / first["vector"] < MIN_VECTOR_SPEEDUP:
         # One extended re-measure before declaring a regression: a single
         # noisy-neighbor blip on a shared runner can depress best-of-5.
         # Both measurements go into the bench record, so a floor trip in
@@ -230,9 +224,8 @@ def test_bench_engine_backends(benchmark):
         "retry folded in when a floor trips — both passes recorded",
         "wall_clock_s": {k: round(v, 4) for k, v in clocks.items()},
         "speedup_vs_reference": {k: round(v, 2) for k, v in speedups.items()},
-        "fast_speedup_noise_band": "1.5-1.8x on the 1-core reference host",
+        "vector_speedup_band": VECTOR_SPEEDUP_BAND,
         "asserted_min_vector_speedup": MIN_VECTOR_SPEEDUP,
-        "asserted_min_fast_speedup": MIN_FAST_SPEEDUP,
     }
     if retry is not None:
         payload["wall_clock_s_first_measure"] = {
@@ -247,12 +240,6 @@ def test_bench_engine_backends(benchmark):
         "  ".join(
             f"{name}: {clocks[name]:.3f}s ({speedups[name]:.1f}x)" for name in clocks
         )
-    )
-    assert clocks["fast"] < clocks["reference"]
-    assert speedups["fast"] >= MIN_FAST_SPEEDUP, (
-        f"fast backend regressed: {speedups['fast']:.2f}x < "
-        f"{MIN_FAST_SPEEDUP}x over reference (see BENCH_engine.json; the "
-        "honest interleaved band on the reference host is 1.5-1.8x)"
     )
     assert speedups["vector"] >= MIN_VECTOR_SPEEDUP, (
         f"vector backend regressed: {speedups['vector']:.1f}x < "

@@ -1,18 +1,15 @@
-"""Bench: the pruning injection runtime vs its two predecessors.
+"""Bench: the pruning injection runtime vs the serial reference.
 
 Measures the wall clock of a micro-scale fig10-shaped injection campaign
 — both fig10 networks, one :class:`~repro.faults.InjectionJob` per
-(strategy x corner) cell — executed three times through the same engine:
+(strategy x corner) cell — executed twice through the same engine:
 
 * ``serial`` — the per-trial reference loop (the paper's protocol);
-* ``batched-noprune`` — the stacked trial forward with masked-trial
-  pruning disabled (``$REPRO_INJECTION_PRUNE=0``): the previous PR's
-  runtime, the baseline this PR's tentpole is measured against;
-* ``pruned`` — the full runtime: stacked forward plus masked-trial
-  pruning and effective-flip dedup.
+* ``pruned`` — the ``batched`` runtime's lanes walk: stacked forward
+  plus masked-trial pruning and effective-flip dedup.
 
-All three produce bit-identical results (asserted), so the ratios are
-pure runtime comparisons.
+Both produce bit-identical results (asserted), so the ratio is a pure
+runtime comparison.
 
 The BER tables are corner-scaled the way a real fig10 campaign is: the
 paper's Eq. 1 corners span ~100 orders of magnitude (Ideal ~1e-112,
@@ -22,18 +19,16 @@ keep every trial diverged (pruning can only help the other corners);
 low-BER cells are where masked trials collapse onto the fault-free lane
 — exactly the regime that dominates a production campaign's cell grid.
 
-Both asserted floors are measured with interleaved best-of-N timing —
-this reference host is a 1-core runner with ±10 % noise — with one
-extended re-measure before declaring a regression:
-
-* pruned vs serial: default 12x, ``$REPRO_BENCH_MIN_INJECTION_SPEEDUP``;
-* pruned vs batched-noprune: default 2x, ``$REPRO_BENCH_MIN_PRUNE_SPEEDUP``.
+The asserted floor — pruned vs serial, default 12x,
+``$REPRO_BENCH_MIN_INJECTION_SPEEDUP`` — is measured with interleaved
+best-of-N timing (this reference host is a 1-core runner with ±10 %
+noise), with one extended re-measure before declaring a regression.
 
 The measurement lands in ``BENCH_injection.json`` at the repository root
 (shared layout with ``BENCH_engine.json`` — see
 :class:`bench_util.BenchRecorder`), including the campaign's
-pruned/deduped trial counters, which must be nonzero for the pruning
-floor to mean anything.
+pruned/deduped trial counters, which must be nonzero for the grid to
+exercise the work avoidance at all.
 
 Run it with::
 
@@ -41,7 +36,6 @@ Run it with::
 """
 
 import dataclasses
-import os
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +43,6 @@ import numpy as np
 from repro.engine import SimEngine
 from repro.experiments.common import SCALES, get_bundle
 from repro.faults import injection_job_for_bundle
-from repro.nn.quantize import INJECTION_PRUNE_ENV
 
 from bench_util import BenchRecorder, env_float, run_once, timed_interleaved
 
@@ -64,10 +57,6 @@ _RECORDER = BenchRecorder(
 #: Asserted floor on the pruned runtime's speedup over the serial
 #: reference.  Overridable for noisy shared hosts.
 MIN_INJECTION_SPEEDUP = env_float("REPRO_BENCH_MIN_INJECTION_SPEEDUP", 12.0)
-
-#: Asserted floor on the pruned runtime's speedup over the pruning-
-#: disabled stacked runtime (the previous PR's baseline).
-MIN_PRUNE_SPEEDUP = env_float("REPRO_BENCH_MIN_PRUNE_SPEEDUP", 2.0)
 
 #: The two networks of Fig. 10.
 RECIPES = ("vgg16_cifar10", "resnet18_cifar10")
@@ -112,59 +101,41 @@ def campaign_jobs(runtime):
     return jobs
 
 
-def _with_prune(enabled, fn):
-    """Run ``fn`` under an explicit ``$REPRO_INJECTION_PRUNE`` setting."""
-    before = os.environ.get(INJECTION_PRUNE_ENV)
-    os.environ[INJECTION_PRUNE_ENV] = "1" if enabled else "0"
-    try:
-        return fn()
-    finally:
-        if before is None:
-            os.environ.pop(INJECTION_PRUNE_ENV, None)
-        else:
-            os.environ[INJECTION_PRUNE_ENV] = before
-
-
 def test_bench_injection_pruned_vs_baselines(benchmark):
     engine = SimEngine(use_cache=False)
     serial_jobs = campaign_jobs("serial")
     batched_jobs = campaign_jobs("batched")
-    # Warm all three legs once: trains/loads the bundles, fills the
-    # per-process operand caches, and proves bit-identity of the three
+    # Warm both legs once: trains/loads the bundles, fills the
+    # per-process operand caches, and proves bit-identity of the two
     # runtimes on the full corner-decade grid.
     with _RECORDER.phase("warm"):
         serial_results = engine.run_many(serial_jobs)
-        noprune_results = _with_prune(False, lambda: engine.run_many(batched_jobs))
-        pruned_results = _with_prune(True, lambda: engine.run_many(batched_jobs))
-    for s, b, p in zip(serial_results, noprune_results, pruned_results):
-        assert s.trial_accuracies == b.trial_accuracies == p.trial_accuracies
-        assert s.flips_injected == b.flips_injected == p.flips_injected
-        assert s.trial_correct == b.trial_correct == p.trial_correct
+        pruned_results = engine.run_many(batched_jobs)
+    for s, p in zip(serial_results, pruned_results):
+        assert s.trial_accuracies == p.trial_accuracies
+        assert s.flips_injected == p.flips_injected
+        assert s.trial_correct == p.trial_correct
 
-    # The pruning floor is only meaningful if pruning actually fired on
-    # this grid: re-run the pruned leg and check its counters.
+    # The grid must exercise the work avoidance: re-run the pruned leg
+    # and check its counters.
     engine.stats.trials_pruned = engine.stats.trials_deduped = 0
-    _with_prune(True, lambda: engine.run_many(batched_jobs))
+    engine.run_many(batched_jobs)
     trials_pruned = engine.stats.trials_pruned
     trials_deduped = engine.stats.trials_deduped
     assert trials_pruned + trials_deduped > 0, (
         "the corner-decade grid produced no pruned or deduped trials; "
-        "the pruned-vs-noprune floor would measure nothing"
+        "the bench would not exercise the lanes walk's work avoidance"
     )
 
     contenders = [
         lambda: engine.run_many(serial_jobs),
-        lambda: _with_prune(False, lambda: engine.run_many(batched_jobs)),
-        lambda: _with_prune(True, lambda: engine.run_many(batched_jobs)),
+        lambda: engine.run_many(batched_jobs),
     ]
     with _RECORDER.phase("measure"):
         first = timed_interleaved(contenders, repeats=3)
-    t_serial, t_noprune, t_pruned = first
+    t_serial, t_pruned = first
     retry = None
-    if (
-        t_serial / t_pruned < MIN_INJECTION_SPEEDUP
-        or t_noprune / t_pruned < MIN_PRUNE_SPEEDUP
-    ):
+    if t_serial / t_pruned < MIN_INJECTION_SPEEDUP:
         # One extended re-measure before declaring a regression: a single
         # noisy-neighbor blip on a shared runner can depress best-of-3.
         # Both measurements go into the bench record, so a floor trip in
@@ -172,11 +143,9 @@ def test_bench_injection_pruned_vs_baselines(benchmark):
         with _RECORDER.phase("remeasure"):
             retry = timed_interleaved(contenders, repeats=4)
         t_serial = min(t_serial, retry[0])
-        t_noprune = min(t_noprune, retry[1])
-        t_pruned = min(t_pruned, retry[2])
-    run_once(benchmark, lambda: _with_prune(True, lambda: engine.run_many(batched_jobs)))
+        t_pruned = min(t_pruned, retry[1])
+    run_once(benchmark, engine.run_many, batched_jobs)
     speedup_serial = t_serial / t_pruned
-    speedup_noprune = t_noprune / t_pruned
 
     payload = {
         "shape": (
@@ -191,40 +160,29 @@ def test_bench_injection_pruned_vs_baselines(benchmark):
         "trials_deduped": int(trials_deduped),
         "wall_clock_s": {
             "serial": round(t_serial, 4),
-            "batched_noprune": round(t_noprune, 4),
             "pruned": round(t_pruned, 4),
         },
         "speedup_pruned_vs_serial": round(speedup_serial, 2),
-        "speedup_pruned_vs_noprune": round(speedup_noprune, 2),
         "asserted_min_speedup_vs_serial": MIN_INJECTION_SPEEDUP,
-        "asserted_min_speedup_vs_noprune": MIN_PRUNE_SPEEDUP,
     }
     if retry is not None:
         payload["wall_clock_s_first_measure"] = {
             "serial": round(first[0], 4),
-            "batched_noprune": round(first[1], 4),
-            "pruned": round(first[2], 4),
+            "pruned": round(first[1], 4),
         }
         payload["wall_clock_s_retry_measure"] = {
             "serial": round(retry[0], 4),
-            "batched_noprune": round(retry[1], 4),
-            "pruned": round(retry[2], 4),
+            "pruned": round(retry[1], 4),
         }
     _RECORDER.write("campaign", payload)
     print()
     print(
         f"injection campaign ({len(serial_jobs)} jobs): serial {t_serial:.3f}s  "
-        f"batched-noprune {t_noprune:.3f}s  pruned {t_pruned:.3f}s  "
-        f"({speedup_serial:.1f}x vs serial, {speedup_noprune:.1f}x vs noprune; "
+        f"pruned {t_pruned:.3f}s  ({speedup_serial:.1f}x vs serial; "
         f"{trials_pruned} pruned, {trials_deduped} deduped)"
     )
     assert speedup_serial >= MIN_INJECTION_SPEEDUP, (
         f"pruned injection runtime regressed: {speedup_serial:.1f}x < "
         f"{MIN_INJECTION_SPEEDUP}x over the serial reference "
-        "(see BENCH_injection.json)"
-    )
-    assert speedup_noprune >= MIN_PRUNE_SPEEDUP, (
-        f"masked-trial pruning regressed: {speedup_noprune:.1f}x < "
-        f"{MIN_PRUNE_SPEEDUP}x over the pruning-disabled stacked runtime "
         "(see BENCH_injection.json)"
     )

@@ -3,10 +3,11 @@
 Streams a lowered layer (GEMM) through the configured ``Ar x Ac`` array
 exactly as the chosen :class:`~repro.core.pipeline.LayerMappingPlan`
 prescribes — group by group, in the planned input-channel order — and
-evaluates every MAC cycle with the dynamic timing analyzer.  The output is
-a :class:`LayerReliabilityReport`: the layer's TER at the requested PVTA
-corner, its PSUM sign-flip rate, and the functionally-exact outputs (used
-to assert compute correctness: reordering never changes a value).
+prices every MAC cycle with the dynamic timing analyzer's delay model.
+The output is a :class:`LayerReliabilityReport`: the layer's TER at the
+requested PVTA corner, its PSUM sign-flip rate, and the functionally-exact
+outputs (used to assert compute correctness: reordering never changes a
+value).
 
 Both dataflows of Fig. 1 are supported.  They execute the *same set of
 additions* (the reduction order over channels is fixed by the plan), but
@@ -36,7 +37,7 @@ from ..hw.carry import highest_set_bit
 
 from ..core.pipeline import LayerMappingPlan, MappingStrategy, plan_layer
 from ..errors import MappingError
-from ..hw.dta import DynamicTimingAnalyzer
+from ..hw.dta import DynamicTimingAnalyzer, histogram_expected_errors
 from ..hw.mac import MacUnit
 from ..hw.variations import PvtaCondition, TER_EVAL_CORNER
 from .config import AcceleratorConfig, Dataflow
@@ -248,9 +249,13 @@ class SystolicArraySimulator:
         """Execute once, analyze at several PVTA corners.
 
         The MAC trace (carry activity, sign flips, outputs) is independent
-        of the operating corner, so all corners share one simulation pass;
-        only the closed-form error probabilities are recomputed.  Returns
-        a mapping corner name -> report.
+        of the operating corner, so all corners share one simulation pass.
+        The cycles are counted into a ``(multiplier bits, toggle span)``
+        delay histogram, which :func:`~repro.hw.dta.histogram_expected_errors`
+        prices at every corner; the TER equals the mean of
+        :meth:`~repro.hw.dta.DynamicTimingAnalyzer.error_probabilities`
+        over the cycles up to float summation order.  Returns a mapping
+        corner name -> report.
         """
         act_matrix = np.asarray(act_matrix, dtype=np.int64)
         weight_matrix = np.asarray(weight_matrix, dtype=np.int64)
@@ -273,7 +278,15 @@ class SystolicArraySimulator:
         k = weight_matrix.shape[1]
         outputs = np.zeros((n_pixels, k), dtype=np.int64)
 
-        prob_sums = {c.name: 0.0 for c in corners}
+        # Every cycle's triggered delay — and hence its error probability
+        # at any corner — is a function of its (multiplier bits, toggle
+        # span) bin, so the trace reduces to one integer histogram that
+        # is priced once after the tile loop.
+        n_spans = self.config.mac.psum_width + 1
+        delay_bins = np.zeros(
+            (self.config.mac.act_width + self.config.mac.weight_width + 1) * n_spans,
+            dtype=np.int64,
+        )
         flip_sum = 0.0
         flip_cycles = 0
         chain_sum = 0.0
@@ -290,9 +303,15 @@ class SystolicArraySimulator:
                 trace = self._mac.run(a_stream, w_stream, validate=False)
                 trace, flips, transitions = self._apply_dataflow_adjacency(trace)
 
-                for corner in corners:
-                    probs = self.dta.error_probabilities(trace, corner)
-                    prob_sums[corner.name] += float(probs.sum())
+                bins = (trace.act_bits + trace.weight_bits) * n_spans + trace.toggle_spans
+                counts = np.bincount(bins.reshape(-1), minlength=delay_bins.size)
+                if counts.size > delay_bins.size:
+                    # operands wider than the configured datapath overflow
+                    # the nominal histogram: grow it, they still get priced
+                    counts[: delay_bins.size] += delay_bins
+                    delay_bins = counts
+                else:
+                    delay_bins += counts
                 chain_sum += float(trace.chain_lengths.sum())
                 n_cycles += int(trace.sign_flips.size)
 
@@ -301,10 +320,13 @@ class SystolicArraySimulator:
 
                 outputs[start:stop, group.columns] = trace.final
 
+        prob_sums = histogram_expected_errors(
+            delay_bins, n_spans, self.dta.delay_model, corners, self.dta.clock_ps
+        )
         reports = {}
-        for corner in corners:
+        for corner, prob_sum in zip(corners, prob_sums):
             reports[corner.name] = LayerReliabilityReport(
-                ter=prob_sums[corner.name] / max(n_cycles, 1),
+                ter=float(prob_sum) / max(n_cycles, 1),
                 sign_flip_rate=flip_sum / max(flip_cycles, 1),
                 n_cycles=n_cycles,
                 mean_chain_length=chain_sum / max(n_cycles, 1),

@@ -4,7 +4,7 @@ Usage::
 
     read-repro list
     read-repro fig8 --scale small
-    read-repro all --scale tiny --jobs 4 --backend fast
+    read-repro all --scale tiny --jobs 4
     read-repro sweep --suite mobile --scale micro
     python -m repro fig10 --no-cache
 
@@ -64,8 +64,8 @@ def _engine_flags(parser: argparse.ArgumentParser) -> None:
         choices=backend_names(),
         default=None,
         help=(
-            "simulation backend (default: $REPRO_BACKEND; unset, 'all' and "
-            "the fig10/fig11 grids pick 'vector', the rest 'reference')"
+            "simulation backend (default: $REPRO_BACKEND or 'vector'; "
+            "'reference' gives bit-identical results, slower)"
         ),
     )
     parser.add_argument(
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
             "execute one parallel cache-reusing sweep, and write each rendering "
             "plus a provenance manifest.json to the artifacts directory."
         ),
-        epilog="example: read-repro all --scale tiny --backend fast --jobs 4",
+        epilog="example: read-repro all --scale tiny --jobs 4",
     )
     _scale_flag(all_parser)
     _engine_flags(all_parser)
@@ -170,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Draw randomized job specifications over the full axis cross "
             "product (widths x dataflows x strategies x corners x groups x "
             "bits), run every registered backend on the same jobs, and check "
-            "the conformance contract (bit-equal outputs and integer stats, "
-            "TER within 1e-9 of reference, fast==vector bitwise, stacked "
-            "run_network == per-job run).  Failures are minimized and "
+            "the conformance contract (outputs and every statistic, TER "
+            "included, bit-equal to reference; stacked run_network == "
+            "per-job run).  Failures are minimized and "
             "printed as a single replayable --spec command."
         ),
         epilog=(
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=_doc_line(RUNNERS[name]),
             description=_doc_line(RUNNERS[name]),
             epilog=f"example: read-repro {name}"
-            + ("" if name in SCALELESS else " --scale small --backend fast --jobs 4"),
+            + ("" if name in SCALELESS else " --scale small --jobs 4"),
         )
         if name not in SCALELESS:
             _scale_flag(sub)
@@ -395,8 +395,8 @@ def run_one(name: str, scale_name: Optional[str]) -> str:
 
 
 def _print_engine_summary(engine) -> None:
-    # effective_backend() reports what actually simulated — fig10/fig11
-    # and `all` may have upgraded an unspecified backend to "vector".
+    # effective_backend() reports what actually simulated — with
+    # $REPRO_ENGINE_SOCKET set, that is the daemon's backend.
     print(
         f"engine[{engine.effective_backend()}, jobs={engine.jobs}, "
         f"cache={'on' if engine.cache is not None else 'off'}]: "

@@ -3,9 +3,10 @@
 The engine turns the paper's serial per-figure simulation loops into one
 schedulable workload: experiments describe their measurements as
 :class:`SimJob`\\ s, and :class:`SimEngine` executes them on a selectable
-backend (``reference``, batched ``fast``, or whole-network ``vector`` —
-conformance-tested bit-compatible, with ``vector`` about 17x over the
-reference), stacks whole networks of layer jobs into single
+backend (the whole-network ``vector`` default, or the cycle-behavioural
+``reference`` that defines correctness — conformance-tested
+bit-identical; ``benchmarks/test_bench_engine.py`` records the speedup),
+stacks whole networks of layer jobs into single
 :class:`NetworkJob` folds, fans cache-missing jobs out over worker
 processes, and memoizes every result on disk keyed by a content hash of
 the job spec.  A resident daemon (``read-repro serve`` /
@@ -40,7 +41,6 @@ from .arena import (
     shutdown_arena,
 )
 from .backends import (
-    FastBackend,
     ReferenceBackend,
     SimulationBackend,
     VectorBackend,
@@ -97,7 +97,6 @@ __all__ = [
     "EngineStats",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "FastBackend",
     "NetworkJob",
     "ReferenceBackend",
     "ResultCache",

@@ -64,6 +64,7 @@ from __future__ import annotations
 import fcntl
 import os
 import threading
+import zipfile
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -90,6 +91,12 @@ _NPZ_MAGIC = b"PK\x03\x04"
 #: Smallest conceivable valid entry (an empty zip's end-of-central-
 #: directory record is 22 bytes; real entries always carry ``__kind__``).
 _MIN_ENTRY_BYTES = 23
+
+#: What decoding an unreadable, truncated, schema-incompatible or
+#: kind-mismatched entry raises.  Only these mark an entry corrupt; any
+#: other error (e.g. a spurious ``SystemError`` from concurrent ``np.load``
+#: header parses) propagates and leaves the entry on disk.
+_DECODE_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError)
 
 #: Per-shard lock file name (dot-prefixed: invisible to the ``*.npz``
 #: globs and to the ``.*.tmp`` orphan sweep).
@@ -240,10 +247,12 @@ class ResultCache:
 
         ``job`` supplies the deserializer and the expected kind tag.
         Unreadable, schema-incompatible or kind-mismatched entries are
-        deleted and treated as misses.  A successful read refreshes the
-        entry's mtime — the recency signal ``gc``'s LRU eviction sorts
-        by — and memoizes the decoded result, so later loads of the same
-        key in this process return it without touching the file.
+        deleted and treated as misses; other errors raised while
+        decoding propagate and leave the entry in place.  A successful
+        read refreshes the entry's mtime — the recency signal ``gc``'s
+        LRU eviction sorts by — and memoizes the decoded result, so
+        later loads of the same key in this process return it without
+        touching the file.
         """
         memo_key = (key, job.kind)
         with self._memo_lock:
@@ -265,7 +274,7 @@ class ResultCache:
                 if kind != job.kind:
                     raise ValueError(f"kind mismatch: entry {kind!r}, job {job.kind!r}")
                 result = job.deserialize_result(arrays)
-            except Exception:
+            except _DECODE_ERRORS:
                 self._discard_corrupt(path, os.fstat(handle.fileno()))
                 return None
         try:

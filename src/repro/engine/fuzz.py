@@ -12,10 +12,9 @@ the conformance contract:
 * integer-valued statistics (cycle counts, and the flip/chain
   statistics, which are integer counts divided by shared cycle
   denominators) exact;
-* TER within 1e-9 of ``reference`` (float summation order is the
-  backends' only freedom);
-* ``fast`` and ``vector`` TERs bit-identical (both reduce the same
-  delay histogram through the shared pricing helper);
+* TER bit-identical to ``reference`` (every backend reduces the same
+  integer delay histogram through the shared pricing helper
+  :func:`repro.hw.dta.histogram_expected_errors`);
 * the ``vector`` backend's whole-network fold
   (:meth:`~repro.engine.backends.SimulationBackend.run_network` over all
   of the case's group GEMMs at once) entry-for-entry equal to its own
@@ -51,9 +50,6 @@ from ..hw.mac import MacConfig
 from ..hw.variations import PAPER_CORNERS
 from .backends import backend_names, get_backend
 from .job import SimJob
-
-#: TER agreement tolerance vs the reference backend (summation order).
-TER_TOL = 1e-9
 
 #: Default bounded-campaign size; CI overrides via $REPRO_FUZZ_ITERS.
 DEFAULT_CASES = 200
@@ -205,7 +201,7 @@ class Mismatch:
     detail: str
 
 
-def _compare_reports(backend: str, ref, got, fast) -> List[Mismatch]:
+def _compare_reports(backend: str, ref, got) -> List[Mismatch]:
     """Conformance contract for one job's per-corner report dicts."""
     problems: List[Mismatch] = []
 
@@ -232,10 +228,8 @@ def _compare_reports(backend: str, ref, got, fast) -> List[Mismatch]:
                 "mean_chain_length",
                 f"{corner}: {g.mean_chain_length} != {r.mean_chain_length}",
             )
-        if abs(g.ter - r.ter) > TER_TOL:
-            bad("ter", f"{corner}: |{g.ter} - {r.ter}| > {TER_TOL}")
-        if fast is not None and backend != "fast" and g.ter != fast[corner].ter:
-            bad("ter_vs_fast", f"{corner}: {g.ter} != fast's {fast[corner].ter}")
+        if g.ter != r.ter:
+            bad("ter", f"{corner}: {g.ter} != {r.ter}")
     return problems
 
 
@@ -257,13 +251,12 @@ def run_case(
             except Exception as exc:  # a crash is a finding, not a fuzzer bug
                 return [Mismatch(backend=name, what="crash", detail=repr(exc))]
     ref = results["reference"]
-    fast = results.get("fast")
     problems: List[Mismatch] = []
     for name in names:
         if name == "reference":
             continue
         for i, (r, g) in enumerate(zip(ref, results[name])):
-            for problem in _compare_reports(name, r, g, fast[i] if fast else None):
+            for problem in _compare_reports(name, r, g):
                 problems.append(
                     dataclasses.replace(problem, what=f"group{i}:{problem.what}")
                 )

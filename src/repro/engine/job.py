@@ -12,9 +12,12 @@ out over worker processes.  Two job kinds ship with the repository:
   fault-injection accuracy campaign (Section V-C).
 
 A job fully specifies its computation in a picklable, content-addressable
-form: the same job always produces the same result regardless of which
-backend executes it or on which worker process, which is what makes the
-on-disk result cache sound.
+form: the same job always produces the same result, bit for bit,
+regardless of which backend executes it or on which worker process, which
+is what makes the on-disk result cache sound.  For :class:`SimJob` the
+backends guarantee this exactly — every backend reduces the same integer
+delay histogram through one pricing helper — and the conformance suite
+and the differential fuzzer compare every report field with ``==``.
 
 :func:`job_key` derives the cache key: a SHA-256 over a canonical
 serialization of every result-affecting field (array bytes and shapes,

@@ -248,9 +248,10 @@ class SimEngine:
     Parameters
     ----------
     backend:
-        Registered backend name (``"reference"`` or ``"fast"``; see
-        :func:`repro.engine.backend_names`).  Only consulted by job kinds
-        that simulate on the array (:class:`~repro.engine.job.SimJob`).
+        Registered backend name (``"vector"``, the default, or
+        ``"reference"``; see :func:`repro.engine.backend_names`).  Only
+        consulted by job kinds that simulate on the array
+        (:class:`~repro.engine.job.SimJob`).
     jobs:
         Worker processes for cache-missing work.  ``1`` (default) runs
         inline; higher values fan out over a process pool.
@@ -272,11 +273,10 @@ class SimEngine:
 
     def __init__(
         self,
-        backend: str = "reference",
+        backend: str = "vector",
         jobs: int = 1,
         use_cache: bool = True,
         cache_dir: Union[None, str, Path, ResultCache] = None,
-        backend_explicit: bool = True,
         keep_pool: bool = False,
         remote: bool = True,
     ):
@@ -300,10 +300,6 @@ class SimEngine:
         self._remote_skipped = 0
         #: The unreachable warning fires once per engine, not per probe.
         self._remote_warned = False
-        #: Whether ``backend`` was an explicit choice (constructor call,
-        #: CLI flag, environment) or just the built-in fallback.
-        #: :meth:`preferring` only overrides the fallback.
-        self.backend_explicit = backend_explicit
         if not use_cache:
             self.cache: Optional[ResultCache] = None
         elif isinstance(cache_dir, ResultCache):
@@ -312,39 +308,15 @@ class SimEngine:
             self.cache = ResultCache(cache_dir)
         self.stats = EngineStats()
         #: Backends that actually simulated a cache-missing :class:`SimJob`
-        #: through this engine (shared with :meth:`preferring` twins), so
-        #: summaries report what really ran, not just what was configured.
+        #: for this engine — a daemon reports its own backend through
+        #: :meth:`_merge_remote` — so summaries report what really ran,
+        #: not just what was configured.
         self.used_backends: set = set()
 
-    def preferring(self, backend: str) -> "SimEngine":
-        """This engine, with ``backend`` substituted when none was chosen.
-
-        Workload-aware defaulting: the fig10/fig11 grids and the
-        orchestrator sweep prefer the ``vector`` backend (their jobs are
-        exactly what it accelerates), but an explicit user choice —
-        ``--backend``, ``REPRO_BACKEND``, or a programmatic
-        ``SimEngine(backend=...)`` — always wins.  The returned engine
-        shares this engine's cache and stats, so hit/miss accounting and
-        deduplication behave as one engine.
-        """
-        if self.backend_explicit or backend == self.backend_name:
-            return self
-        twin = SimEngine(
-            backend=backend,
-            jobs=self.jobs,
-            use_cache=self.cache is not None,
-            cache_dir=self.cache,
-            keep_pool=self.keep_pool,
-            remote=self.remote,
-        )
-        twin.stats = self.stats
-        twin.used_backends = self.used_backends
-        return twin
-
     def effective_backend(self) -> str:
-        """What actually simulated: the configured backend, or — when a
-        :meth:`preferring` twin did the simulating — every backend that
-        executed a cache-missing simulation job, '+'-joined."""
+        """What actually simulated: every backend that executed a
+        cache-missing simulation job, '+'-joined, or the configured
+        backend when none did."""
         return "+".join(sorted(self.used_backends)) or self.backend_name
 
     # ------------------------------------------------------------------ #
@@ -759,15 +731,13 @@ def configure_default_engine(
     arguments win without the environment value even being parsed.
     """
     global _default_engine
-    resolved = backend if backend is not None else os.environ.get("REPRO_BACKEND")
     _default_engine = SimEngine(
-        backend=resolved if resolved is not None else "reference",
+        backend=backend or os.environ.get("REPRO_BACKEND") or "vector",
         jobs=jobs if jobs is not None else _env_jobs(),
         use_cache=use_cache
         if use_cache is not None
         else os.environ.get("REPRO_NO_CACHE", "") not in ("1", "true", "yes"),
         cache_dir=cache_dir,
-        backend_explicit=resolved is not None,
     )
     return _default_engine
 

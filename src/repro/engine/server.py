@@ -90,11 +90,10 @@ class EngineServer:
         # routing hard-disabled — an engine that consulted
         # $REPRO_ENGINE_SOCKET here would connect back to itself.
         self.engine = SimEngine(
-            backend=backend if backend is not None else "vector",
+            backend=backend or "vector",
             jobs=jobs if jobs is not None else max(1, (os.cpu_count() or 2) - 1),
             use_cache=use_cache,
             cache_dir=cache_dir,
-            backend_explicit=backend is not None,
             keep_pool=True,
             remote=False,
         )

@@ -204,7 +204,7 @@ def run_campaign(
     if max_shards is not None and max_shards < 0:
         raise ConfigurationError(f"max_shards must be >= 0, got {max_shards}")
     scale = scale or get_scale()
-    engine = (engine or default_engine()).preferring("vector")
+    engine = engine or default_engine()
     started = time.time()
     baseline_stats = engine.stats.snapshot()
 

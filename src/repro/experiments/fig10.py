@@ -105,9 +105,6 @@ def injection_jobs_for_grid(
         corners=list(corners),
         strategies=strategies,
         max_pixels=scale.ter_pixels,
-        # The grid's TER batch is exactly the workload the vector backend
-        # accelerates; an explicit --backend / REPRO_BACKEND still wins.
-        engine=default_engine().preferring("vector"),
     )
     n_macs = macs_per_layer(records)
     jobs: List[InjectionJob] = []

@@ -115,10 +115,7 @@ def run_all(
 ) -> OrchestratorResult:
     """Plan, sweep and render every experiment; write artifacts + manifest."""
     scale = scale or get_scale()
-    # The sweep prefers the vector backend (its jobs are exactly what it
-    # accelerates); an explicit --backend / REPRO_BACKEND / SimEngine
-    # construction still wins.
-    engine = (engine or default_engine()).preferring("vector")
+    engine = engine or default_engine()
     names = list(names) if names is not None else sorted(RUNNERS)
     artifacts_dir = Path(artifacts_dir) if artifacts_dir else default_artifacts_dir(scale)
     artifacts_dir.mkdir(parents=True, exist_ok=True)

@@ -167,7 +167,7 @@ def run_suite(
     """Plan, deduplicate and execute one suite as a two-phase engine sweep."""
     scale = scale or get_scale()
     scenarios = get_suite(suite)
-    engine = (engine or default_engine()).preferring("vector")
+    engine = engine or default_engine()
 
     with engine_context(engine):
         # One recorded forward per scenario, shared by job planning and

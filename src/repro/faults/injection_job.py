@@ -10,8 +10,8 @@ on-disk result cache with the layer-TER simulations.
 
 Campaigns execute on the trial-batched runtime by default: all
 ``n_trials`` repetitions in one stacked forward pass over the shared
-fault-free prefix, with one vectorized flip draw per (trial, layer) —
-see :func:`run_injection_trials` and
+fault-free prefix, in which bit-identical trials share work and trials
+whose faults are masked drop out — see :func:`run_injection_trials` and
 :meth:`repro.nn.quantize.QuantizedNetwork.evaluate_trials`.  The serial
 reference loop remains available via ``runtime="serial"`` /
 ``$REPRO_INJECTION_RUNTIME``; the two are bit-identical by contract.
@@ -417,11 +417,15 @@ def run_injection_trials(
     fault-free run (the *Ideal* corner).  Otherwise the campaign runs on
     one of two bit-identical runtimes (see :func:`injection_runtime`):
 
-    * ``batched`` (default) — all ``n_trials`` repetitions in one
-      stacked forward pass
-      (:meth:`~repro.nn.quantize.QuantizedNetwork.evaluate_trials`):
-      shared fault-free prefix, one exact-BLAS ``(trials*N, ...)`` GEMM
-      per layer, vectorized per-(trial, layer) flip draws.
+    * ``batched`` (default) — the lanes walk of
+      :meth:`~repro.nn.quantize.QuantizedNetwork.evaluate_trials`: all
+      ``n_trials`` repetitions in one stacked forward pass.  Every trial
+      starts on the shared fault-free prefix and forks from the
+      recorded accumulators at its first effective flip.  Trials whose
+      flip draws are byte-identical collapse into one representative
+      (dedup), and a trial whose faults are masked rejoins the
+      fault-free lane (prune); both events feed the engine's
+      ``trials_deduped`` / ``trials_pruned`` counters.
     * ``serial`` — the reference loop: one
       :class:`BitFlipInjector`, re-seeded per trial with
       :func:`trial_seed`, driving ``n_trials`` chunked int64 forwards —

@@ -39,7 +39,7 @@ from .variations import (
 )
 
 #: Backwards-compatible alias; the implementation lives in
-#: :func:`repro.hw.variations.gaussian_survival` so the batched backends
+#: :func:`repro.hw.variations.gaussian_survival` so the backends' pricing
 #: and the per-cycle DTA share one definition.
 _gaussian_sf = gaussian_survival
 
@@ -53,7 +53,7 @@ def histogram_expected_errors(
 ) -> np.ndarray:
     """Expected error count at each corner from a packed delay histogram.
 
-    The batched backends reduce a job to
+    Both simulation backends reduce a job to
     ``delay_bins[mult_bits * n_spans + span] = cycle count``: the
     triggered delay — and hence the per-corner error probability — is a
     function of the bin, so the expected number of violating cycles is a

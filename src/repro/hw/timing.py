@@ -67,7 +67,7 @@ class DelayModel:
     def bin_delays_ps(self, bins: np.ndarray, n_spans: int) -> np.ndarray:
         """Triggered-path delay of packed ``(mult_bits, toggle_span)`` bins.
 
-        The batched backends collapse a whole job into a histogram over
+        The simulation backends collapse a whole job into a histogram over
         ``bin = mult_bits * n_spans + toggle_span``; this evaluates the
         surrogate once per *occupied bin* instead of once per cycle.  The
         float expression matches :meth:`cycle_delays` term for term, so a

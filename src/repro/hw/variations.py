@@ -38,9 +38,9 @@ from ..errors import ConfigurationError, unknown_name_error
 def gaussian_survival(z: np.ndarray) -> np.ndarray:
     """Standard normal survival function, vectorized and overflow-safe.
 
-    Shared by the per-cycle DTA (:mod:`repro.hw.dta`) and the batched
-    backends, so every path prices a Gaussian corner with bit-identical
-    float math.
+    Shared by the per-cycle DTA (:mod:`repro.hw.dta`) and the backends'
+    histogram pricing, so every path prices a Gaussian corner with
+    bit-identical float math.
     """
     return 0.5 * erfc(z / np.sqrt(2.0))
 
@@ -50,7 +50,7 @@ def error_probability_matrix(
 ) -> np.ndarray:
     """Per-corner timing-error probability of each triggered delay.
 
-    The broadcast core of the batched backends: given ``n`` distinct
+    The broadcast core of the backends' pricing: given ``n`` distinct
     triggered-path delays (picoseconds) and ``m`` PVTA corners, return the
     ``(m, n)`` matrix ``P[i, j] = P(delay j misses the clock at corner
     i)``.  A cycle with delay ``d`` fails iff its sampled derate exceeds

@@ -31,7 +31,6 @@ float — they are not in the MAC datapath under study.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,36 +62,15 @@ from .models import ClassifierNetwork
 #: Injection hook signature: (integer accumulators (pixels, K), layer) -> modified.
 Injector = Callable[[np.ndarray, "QuantizedConv"], np.ndarray]
 
-#: Gate for the pruning/dedup trial runtime ("0"/"false"/"no" disable it).
-INJECTION_PRUNE_ENV = "REPRO_INJECTION_PRUNE"
-
 #: A diverged trial class that has absorbed more flips than this skips
 #: the masked-trial compare at layer checkpoints: full-tensor equality
 #: is all but impossible there, and the compare costs a tensor scan.
 _PRUNE_CHECK_MAX_FLIPS = 64
 
 
-def injection_pruning_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the masked-trial pruning / effective-flip dedup gate.
-
-    ``explicit`` wins when given; otherwise ``REPRO_INJECTION_PRUNE``
-    selects between the pruning lanes walk and the legacy always-stacked
-    walk (default: pruning on).  The two runtimes are bit-identical —
-    the knob exists so conformance CI can prove that, and as an escape
-    hatch.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get(INJECTION_PRUNE_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
-
 @dataclass
 class TrialBatchStats:
-    """Work-avoidance counters of one pruning-runtime stacked walk.
+    """Work-avoidance counters of one lanes walk.
 
     ``pruned`` counts (trial, checkpoint) events where a diverged
     trial's tensor matched the fault-free activations and the trial
@@ -627,13 +605,6 @@ def _to_nchw(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
 
 
-def _stack_trials(arr: np.ndarray, n_trials: int) -> np.ndarray:
-    """Tile an ``(N, ...)`` tensor into a trial-major ``(T*N, ...)`` copy."""
-    return np.broadcast_to(arr, (n_trials,) + arr.shape).reshape(
-        (n_trials * arr.shape[0],) + arr.shape[1:]
-    )
-
-
 @dataclass
 class FaultFreePass:
     """One recorded fault-free forward of a :class:`QuantizedNetwork`.
@@ -642,7 +613,7 @@ class FaultFreePass:
     same ``(network, inputs)`` pair share
 
     * ``op_outputs`` — each top-level op's output (channels-last, the
-      stacked walk's native layout), so layers before the first injected
+      lanes walk's native layout), so layers before the first injected
       layer cost nothing per campaign (the shared fault-free prefix);
     * ``acc`` / ``conv_out`` — every conv's raw integer accumulators and
       float output, so the *first* injected layer of a campaign re-uses
@@ -663,15 +634,16 @@ class FaultFreePass:
     max_abs_acc: Dict[str, int] = field(default_factory=dict)
 
     def nbytes(self) -> int:
-        """Approximate memory footprint (diagnostics; the pass LRU in
-        :mod:`repro.faults.injection_job` is bounded by entry count)."""
+        """Approximate memory footprint of the stored arrays (the pass
+        LRU in :mod:`repro.faults.injection_job` is bounded by entry
+        count and by total bytes)."""
         arrays = list(self.op_outputs) + list(self.conv_out.values()) + list(self.acc.values())
         return sum(a.nbytes for a in arrays)
 
 
 @dataclass
 class _LaneCtx:
-    """Shared context of one pruning-runtime walk (see ``_lane_conv``)."""
+    """Shared context of one lanes walk (see ``_lane_conv``)."""
 
     injectors: Sequence[Injector]
     injected: set
@@ -951,83 +923,6 @@ class QuantizedNetwork:
         )
         return pass_
 
-    @staticmethod
-    def _op_injected(op: object, injected: set) -> bool:
-        """Does this op contain a conv the campaign injects into?"""
-        if isinstance(op, QuantizedConv):
-            return op.name in injected
-        if isinstance(op, _QBlock):
-            return any(qc.name in injected for qc in op.qconvs())
-        return False
-
-    def _conv_trials(
-        self,
-        qc: QuantizedConv,
-        state: np.ndarray,
-        forked: bool,
-        injectors: Sequence[Injector],
-        injected: set,
-        prefix: FaultFreePass,
-    ) -> Tuple[np.ndarray, bool]:
-        """One conv under the stacked-trial walk.
-
-        Three cases: still fault-free (serve the cached output), fork
-        point (re-use the cached fault-free accumulators, pay only for
-        the per-trial flips), or already forked (one ``(T*N, ...)`` GEMM
-        for all trials, then per-trial flips).
-        """
-        n_trials = len(injectors)
-        if not forked:
-            if qc.name not in injected:
-                return prefix.conv_out[qc.name], False
-            n, h, w, _ = state.shape
-            acc0 = prefix.acc[qc.name]
-            acc = np.concatenate([inj(acc0, qc) for inj in injectors], axis=0)
-            return qc.epilogue_nhwc(acc, n_trials * n, h, w), True
-        tn, h, w, _ = state.shape
-        acc = qc.accumulate_nhwc(state)
-        if qc.name in injected:
-            per_trial = acc.reshape(n_trials, -1, acc.shape[1])
-            acc = np.concatenate(
-                [injectors[t](per_trial[t], qc) for t in range(n_trials)], axis=0
-            )
-        return qc.epilogue_nhwc(acc, tn, h, w), True
-
-    def _block_trials(
-        self,
-        block: _QBlock,
-        state: np.ndarray,
-        forked: bool,
-        injectors: Sequence[Injector],
-        injected: set,
-        prefix: FaultFreePass,
-    ) -> Tuple[np.ndarray, bool]:
-        """A residual block under the stacked-trial walk.
-
-        Main path and shortcut may fork independently (e.g. only the
-        shortcut conv is injected); whichever side stays fault-free is
-        tiled to the trial axis before the residual add.
-        """
-        n_trials = len(injectors)
-        main, f_main = self._conv_trials(
-            block.qconv1, state, forked, injectors, injected, prefix
-        )
-        main = np.maximum(main, 0.0)
-        main, f_main = self._conv_trials(
-            block.qconv2, main, f_main, injectors, injected, prefix
-        )
-        if block.qshortcut is not None:
-            short, f_short = self._conv_trials(
-                block.qshortcut, state, forked, injectors, injected, prefix
-            )
-        else:
-            short, f_short = state, forked
-        if f_main and not f_short:
-            short = _stack_trials(short, n_trials)
-        elif f_short and not f_main:
-            main = _stack_trials(main, n_trials)
-        return np.maximum(main + short, 0.0), f_main or f_short
-
     def _prepare_trials(
         self,
         x: np.ndarray,
@@ -1052,44 +947,6 @@ class QuantizedNetwork:
             )
         return injected, prefix
 
-    def _forward_trials_stacked(
-        self,
-        x: np.ndarray,
-        injectors: Sequence[Injector],
-        injected: set,
-        prefix: FaultFreePass,
-    ) -> np.ndarray:
-        """The legacy always-stacked walk (``REPRO_INJECTION_PRUNE=0``).
-
-        Every trial runs every post-fork layer, redundant or not — the
-        conformance baseline the pruning lanes walk is proven
-        bit-identical against.
-        """
-        state, forked = _to_nhwc(x), False
-        for i, op in enumerate(self._ops):
-            if not forked and not self._op_injected(op, injected):
-                # Shared fault-free prefix: every op before the fork —
-                # convs, blocks, activations, pooling — is served from
-                # the recorded pass instead of recomputed.
-                state = prefix.op_outputs[i]
-            elif isinstance(op, QuantizedConv):
-                state, forked = self._conv_trials(
-                    op, state, forked, injectors, injected, prefix
-                )
-            elif isinstance(op, _QBlock):
-                state, forked = self._block_trials(
-                    op, state, forked, injectors, injected, prefix
-                )
-            elif isinstance(op, ReLU):
-                state = np.maximum(state, 0.0)
-            elif isinstance(op, Module):
-                state = self._module_nhwc(op, state)
-            else:  # pragma: no cover - defensive, mirrors _forward_features
-                raise TrainingError(f"unexpected op {op!r}")
-        if not forked:
-            state = _stack_trials(state, len(injectors))
-        return _to_nchw(state)
-
     # ------------------------------------------------------------------ #
     # Pruning/dedup lanes walk
     #
@@ -1108,7 +965,7 @@ class QuantizedNetwork:
     # later layer is injected, which is what makes pruning exact
     # everywhere.  Exactness of the whole walk is inductive: every class
     # tensor is produced by the same deterministic integer ops, from the
-    # same inputs, as each member trial's tensor in the legacy walk.
+    # same inputs, as each member trial's tensor in a serial forward.
     # ------------------------------------------------------------------ #
     def _lane_conv(
         self,
@@ -1315,7 +1172,6 @@ class QuantizedNetwork:
         x: np.ndarray,
         injectors: Sequence[Injector],
         prefix: Optional[FaultFreePass] = None,
-        prune: Optional[bool] = None,
         stats: Optional[TrialBatchStats] = None,
     ) -> np.ndarray:
         """All trials' quantized features in one stacked forward pass.
@@ -1324,19 +1180,14 @@ class QuantizedNetwork:
         :class:`~repro.faults.injection.BitFlipInjector` per trial);
         each must expose the campaign's common ``ber_per_layer`` table.
         Layers before the first injected layer are shared fault-free
-        work served from ``prefix``.  Under the default pruning runtime
-        (``prune``/``REPRO_INJECTION_PRUNE``, see
-        :func:`injection_pruning_enabled`) trials additionally exit the
-        stacked forward whenever their faults are masked or their flip
-        draws duplicate another trial's, with work-avoidance events
-        recorded into ``stats``; the legacy walk runs every trial
-        through every post-fork layer.  Both return the final pipeline
-        tensors shaped ``(T*N, classes, 1, 1)`` in trial-major order,
-        bit-identical to T independent serial forwards.
+        work served from ``prefix``, and trials exit the stacked forward
+        whenever their faults are masked or their flip draws duplicate
+        another trial's, with work-avoidance events recorded into
+        ``stats``.  Returns the final pipeline tensors shaped
+        ``(T*N, classes, 1, 1)`` in trial-major order, bit-identical to
+        T independent serial forwards.
         """
         injected, prefix = self._prepare_trials(x, injectors, prefix)
-        if not injection_pruning_enabled(prune):
-            return self._forward_trials_stacked(x, injectors, injected, prefix)
         stats = stats if stats is not None else TrialBatchStats()
         state, assign, _ = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
         n = x.shape[0]
@@ -1352,15 +1203,14 @@ class QuantizedNetwork:
         topk: int = 1,
         batch_size: int = 128,
         prefix: Optional[FaultFreePass] = None,
-        prune: Optional[bool] = None,
         stats: Optional[TrialBatchStats] = None,
     ) -> List[float]:
         """Per-trial top-k accuracies from one stacked forward pass.
 
-        The stacked walk covers the whole lowered pipeline (classifier
-        head included), so scoring is one flatten + top-k per trial —
-        and under the pruning runtime, one per *class* of bit-identical
-        trials, with exact correct-counts scattered back per trial.
+        The lanes walk covers the whole lowered pipeline (classifier
+        head included), so scoring is one flatten + top-k per *class* of
+        bit-identical trials, with exact correct-counts scattered back
+        per trial.
         Accuracies are bit-identical to running each trial through
         :meth:`evaluate` at any batch size: every per-sample logit is an
         exactly-dequantized integer accumulator, unaffected by chunking.
@@ -1376,10 +1226,6 @@ class QuantizedNetwork:
                 )
             return correct
 
-        if not injection_pruning_enabled(prune):
-            features = self._forward_trials_stacked(x, injectors, injected, prefix)
-            logits = features.reshape(len(injectors), n, -1)
-            return [chunked_correct(logits[t]) / n for t in range(len(injectors))]
         stats = stats if stats is not None else TrialBatchStats()
         state, assign, _ = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
         counts: Dict[int, int] = {}
@@ -1884,14 +1730,13 @@ class QuantizedTokenNetwork:
         topk: int = 1,
         batch_size: int = 128,
         prefix: Optional[FaultFreePass] = None,
-        prune: Optional[bool] = None,
         stats: Optional[TrialBatchStats] = None,
     ) -> List[float]:
         """Per-trial top-k accuracies (serial trial loop).
 
         Injector streams are keyed per ``(seed, layer name)`` and draws
         are chunk-invariant, so the serial loop is bit-identical to any
-        stacked evaluation — there is nothing for ``prefix`` / ``prune``
+        stacked evaluation — there is nothing for ``prefix`` / ``stats``
         to change; the arguments exist for runtime-surface parity.
         """
         if not self._calibrated:

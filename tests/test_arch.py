@@ -16,6 +16,7 @@ from repro.arch.mapper import (
 )
 from repro.arch.systolic import SystolicArraySimulator
 from repro.core import MappingStrategy, plan_layer
+from repro.hw.mac import MacUnit
 from repro.errors import ConfigurationError, MappingError, ShapeError
 from repro.hw.variations import AGING_VT_5, IDEAL, PAPER_CORNERS
 
@@ -172,6 +173,38 @@ class TestSystolicSimulator:
         multi = sim.run_gemm_corners(acts, weights, PAPER_CORNERS, plan)
         single = sim.run_gemm(acts, weights, plan, AGING_VT_5)
         assert multi[AGING_VT_5.name].ter == pytest.approx(single.ter)
+
+    @pytest.mark.parametrize("dataflow", list(Dataflow))
+    def test_histogram_ter_matches_per_cycle_definition(self, operands, dataflow):
+        """The priced delay histogram equals the mean per-cycle probability.
+
+        Replays ``run_gemm_corners``' tile walk and averages
+        ``DynamicTimingAnalyzer.error_probabilities`` over every cycle:
+        the two may differ only by float summation order.
+        """
+        acts, weights = operands
+        sim = SystolicArraySimulator(AcceleratorConfig(dataflow=dataflow), pixel_chunk=7)
+        plan = plan_layer(weights, 4, "reorder")
+        reports = sim.run_gemm_corners(acts, weights, PAPER_CORNERS, plan)
+        sums = dict.fromkeys((c.name for c in PAPER_CORNERS), 0.0)
+        n_cycles = 0
+        for group in plan.groups:
+            w_sub = np.asarray(group.weights, dtype=np.int64)
+            for start, stop in tile_ranges(acts.shape[0], sim.pixel_chunk):
+                tile = acts[start:stop][:, group.order]
+                a_stream = np.broadcast_to(
+                    tile[:, None, :], (stop - start, w_sub.shape[1], tile.shape[1])
+                )
+                w_stream = np.broadcast_to(w_sub.T[None, :, :], a_stream.shape)
+                trace = MacUnit(sim.config.mac).run(a_stream, w_stream, validate=False)
+                trace, _, _ = sim._apply_dataflow_adjacency(trace)
+                n_cycles += trace.sign_flips.size
+                for corner in PAPER_CORNERS:
+                    sums[corner.name] += sim.dta.error_probabilities(trace, corner).sum()
+        assert n_cycles == reports[AGING_VT_5.name].n_cycles
+        for corner in PAPER_CORNERS:
+            per_cycle = sums[corner.name] / n_cycles
+            assert reports[corner.name].ter == pytest.approx(per_cycle, rel=1e-12, abs=0)
 
     def test_ter_monotone_across_corners(self, operands):
         acts, weights = operands

@@ -4,13 +4,10 @@ The contract that licenses any backend to fill the shared result cache
 (and to power the figures): on *any* job — seeded randomized operand
 matrices across datapath widths, dataflows, mapping strategies, job
 scales, corner subsets and chunk/tile geometries — its reports must be
-
-* bit-exact against ``reference`` on functional ``outputs`` and every
-  integer-valued statistic, and
-* within 1e-9 on the float statistics (TER, sign-flip rate, mean chain
-  length), float summation order being the only permitted freedom.
-  The two histogram backends (``fast``/``vector``) additionally agree
-  on TER *bit-for-bit* (they reduce identical delay histograms).
+bit-identical to ``reference``'s: functional ``outputs``, every
+integer-valued statistic, and the float statistics (TER, sign-flip rate,
+mean chain length).  The TER is exact because every backend reduces the
+same integer delay histogram through one pricing helper.
 
 By default every registered backend except ``reference`` is screened;
 ``pytest tests/test_backend_conformance.py --backend vector`` (the
@@ -24,7 +21,7 @@ On top of the fixed case catalog, a hypothesis-driven harness draws
 random :mod:`repro.scenarios`-shaped cells of the opened workload space
 — grouped/depthwise layers (one job per group GEMM), the classifier
 head lowered to a 1x1 conv, per-layer mixed-precision operand widths —
-and asserts, per drawn scenario, (a) the three backends' conformance on
+and asserts, per drawn scenario, (a) the backends' conformance on
 every group job *and* on the cycle-weighted layer aggregate, and (b)
 bit-identical per-trial accuracies from the serial and trial-batched
 injection runtimes on a quantized network built from the same draw.
@@ -51,10 +48,6 @@ from repro.hw.variations import (
     TER_EVAL_CORNER,
     VT_3,
 )
-
-#: Float tolerance of the conformance contract.
-TOL = 1e-9
-
 
 def candidate_backends(config) -> list:
     requested = config.getoption("--backend")
@@ -190,9 +183,9 @@ def assert_conformant(ref, got, backend):
         assert r.n_macs_per_output == g.n_macs_per_output
         assert r.strategy == g.strategy
         assert r.corner_name == g.corner_name == corner_name
-        assert abs(r.ter - g.ter) <= TOL, (backend, corner_name, r.ter, g.ter)
-        assert abs(r.sign_flip_rate - g.sign_flip_rate) <= TOL
-        assert abs(r.mean_chain_length - g.mean_chain_length) <= TOL
+        assert r.ter == g.ter, (backend, corner_name, r.ter, g.ter)
+        assert r.sign_flip_rate == g.sign_flip_rate, (backend, corner_name)
+        assert r.mean_chain_length == g.mean_chain_length, (backend, corner_name)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -206,23 +199,9 @@ def test_conformance(case, backend, reference_reports):
 def test_conformance_under_tiling(backend, reference_reports, monkeypatch):
     """Results must not move when tiles shrink to a single pixel chunk."""
     monkeypatch.setattr(vector_module, "_MAX_BLOCK_ELEMENTS", 1)
-    from repro.engine import backends as backends_module
-
-    monkeypatch.setattr(backends_module, "_MAX_BLOCK_ELEMENTS", 1)
     for case in ("scale:wide", "scale:chunk-straddle", "output_stationary:reorder"):
         got = get_backend(backend).run(CASES[case])
         assert_conformant(reference_reports(case), got, backend)
-
-
-def test_conformance_ter_matches_fast_bitwise(backend):
-    """Histogram backends reduce identical histograms: TERs are equal."""
-    if backend == "fast":
-        pytest.skip("self-comparison")
-    job = CASES["output_stationary:cluster_then_reorder"]
-    fast = get_backend("fast").run(job)
-    got = get_backend(backend).run(job)
-    for corner_name in fast:
-        assert fast[corner_name].ter == got[corner_name].ter
 
 
 def test_backend_option_validates_names(pytestconfig):
@@ -249,7 +228,7 @@ SCENARIO_CORNERS = (TER_EVAL_CORNER, IDEAL)
 def scenario_leg(pytestconfig):
     """Run the scenario harness on one CI matrix leg only.
 
-    The hypothesis tests below always exercise all three backends (or,
+    The hypothesis tests below always exercise both backends (or,
     for the runtime test, none), so re-running them on every
     ``--backend`` leg would duplicate identical derandomized work.  They
     ride the ``vector`` leg; an unrestricted local run keeps them too.
@@ -316,37 +295,31 @@ def _scenario_group_jobs(cell):
 @SCENARIO_SETTINGS
 @given(cell=layer_scenarios())
 def test_scenario_conformance_across_backends(scenario_leg, cell):
-    """Per drawn scenario: all three backends agree on every group GEMM.
+    """Per drawn scenario: the backends agree on every group GEMM.
 
-    ``reference`` within the 1e-9 float contract, ``fast``/``vector``
-    TERs bit-for-bit — on each group job *and* on the cycle-weighted
-    layer aggregate (the number the per-layer reports print).
+    Bit for bit, on each group job *and* on the cycle-weighted layer
+    aggregate (the number the per-layer reports print).
     """
     from repro.experiments.common import aggregate_group_reports
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
         per_backend = {}
-        for backend in ("reference", "fast", "vector"):
+        for backend in ("reference", "vector"):
             per_backend[backend] = [
                 get_backend(backend).run(job) for job in _scenario_group_jobs(cell)
             ]
-    for candidate in ("fast", "vector"):
-        for ref, got in zip(per_backend["reference"], per_backend[candidate]):
-            assert_conformant(ref, got, candidate)
+    for ref, got in zip(per_backend["reference"], per_backend["vector"]):
+        assert_conformant(ref, got, "vector")
     aggregates = {
         backend: aggregate_group_reports("layer", cell["strategy"], reports)
         for backend, reports in per_backend.items()
     }
     for corner in SCENARIO_CORNERS:
-        fast_ter = aggregates["fast"].ter_by_corner[corner.name]
+        ref_ter = aggregates["reference"].ter_by_corner[corner.name]
         vector_ter = aggregates["vector"].ter_by_corner[corner.name]
         # Identical histograms, identical weighted reduction: bit-equal.
-        assert fast_ter == vector_ter, (corner.name, fast_ter, vector_ter)
-        assert abs(aggregates["reference"].ter_by_corner[corner.name] - fast_ter) <= TOL
-    for fast_r, vector_r in zip(per_backend["fast"], per_backend["vector"]):
-        for corner_name in fast_r:
-            assert fast_r[corner_name].ter == vector_r[corner_name].ter
+        assert ref_ter == vector_ter, (corner.name, ref_ter, vector_ter)
 
 
 @hst.composite
@@ -400,22 +373,14 @@ def _matmul_job(cell):
 @SCENARIO_SETTINGS
 @given(cell=matmul_scenarios())
 def test_matmul_conformance_across_backends(scenario_leg, cell):
-    """Signed-operand matmul cells honor the same contract as conv GEMMs:
-    reference within 1e-9, fast/vector TERs bit-for-bit."""
+    """Signed-operand matmul cells honor the same bit-exact contract as
+    conv GEMMs."""
     job = _matmul_job(cell)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
-        per_backend = {
-            backend: get_backend(backend).run(job)
-            for backend in ("reference", "fast", "vector")
-        }
-    for candidate in ("fast", "vector"):
-        assert_conformant(per_backend["reference"], per_backend[candidate], candidate)
-    for corner_name in per_backend["fast"]:
-        assert (
-            per_backend["fast"][corner_name].ter
-            == per_backend["vector"][corner_name].ter
-        )
+        ref = get_backend("reference").run(job)
+        got = get_backend("vector").run(job)
+    assert_conformant(ref, got, "vector")
 
 
 @hst.composite
@@ -529,7 +494,7 @@ def test_corner_fused_pricing_matches_single_corner_jobs(scenario_leg, cell):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
-        for backend in ("fast", "vector"):
+        for backend in ("reference", "vector"):
             fused = get_backend(backend).run(job)
             for corner in PAPER_CORNERS:
                 single = get_backend(backend).run(
@@ -565,7 +530,7 @@ def test_network_job_equals_per_layer_jobs_with_cache_fanout(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
         direct = [get_backend("vector").run(job) for job in jobs]
-        fast = [get_backend("fast").run(job) for job in jobs]
+        ref = [get_backend("reference").run(job) for job in jobs]
 
         engine = SimEngine(backend="vector", cache_dir=tmp_path)
         before = engine.stats.snapshot()
@@ -575,9 +540,8 @@ def test_network_job_equals_per_layer_jobs_with_cache_fanout(tmp_path):
     assert isinstance(stacked, list) and len(stacked) == len(jobs)
     for i, (got, want) in enumerate(zip(stacked, direct)):
         assert_reports_identical(got, want, f"stacked[{i}]")
-        # The stacked fold reduces the same histograms as fast: bit-equal.
-        for corner_name in got:
-            assert got[corner_name].ter == fast[i][corner_name].ter
+        # The stacked fold reduces the same histograms as reference.
+        assert_conformant(ref[i], got, f"stacked[{i}]")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)

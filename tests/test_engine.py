@@ -1,11 +1,11 @@
 """Engine tests: backend equivalence, cache semantics, job hashing.
 
-The heart of this module is the equivalence matrix required before the
-``fast`` backend may substitute for the reference simulator anywhere:
+The heart of this module is the equivalence matrix that licenses the
+``vector`` backend to substitute for the reference simulator anywhere:
 across both dataflows, all paper PVTA corners and all three mapping
-strategies, ``fast`` must reproduce the reference
-``LayerReliabilityReport`` bit-exactly on functional outputs and
-integer-valued statistics, and within 1e-9 on the TER.  Property tests
+strategies, ``vector`` must reproduce the reference
+``LayerReliabilityReport`` bit for bit — functional outputs, integer-
+valued statistics and the TER alike.  Property tests
 cover the planner's output-channel permutation (always a bijection) and
 the result cache (hits are byte-identical to cold runs).
 """
@@ -51,15 +51,15 @@ def make_job(seed=0, n_pixels=13, c_eff=24, k=8, **kwargs):
     return SimJob(acts=acts, weights=weights, **kwargs)
 
 
-def assert_reports_equivalent(ref, fast, tol=1e-9):
-    assert set(ref) == set(fast)
+def assert_reports_equivalent(ref, got):
+    assert set(ref) == set(got)
     for name in ref:
-        r, f = ref[name], fast[name]
+        r, f = ref[name], got[name]
         assert np.array_equal(r.outputs, f.outputs)
         assert r.outputs.dtype == f.outputs.dtype
-        assert abs(r.ter - f.ter) <= tol
-        assert abs(r.sign_flip_rate - f.sign_flip_rate) <= tol
-        assert abs(r.mean_chain_length - f.mean_chain_length) <= tol
+        assert r.ter == f.ter
+        assert r.sign_flip_rate == f.sign_flip_rate
+        assert r.mean_chain_length == f.mean_chain_length
         assert r.n_cycles == f.n_cycles
         assert r.n_macs_per_output == f.n_macs_per_output
         assert r.strategy == f.strategy
@@ -67,7 +67,7 @@ def assert_reports_equivalent(ref, fast, tol=1e-9):
 
 
 class TestBackendEquivalence:
-    """``fast`` must be indistinguishable from ``reference``."""
+    """``vector`` must be indistinguishable from ``reference``."""
 
     @pytest.mark.parametrize("dataflow", list(Dataflow))
     @pytest.mark.parametrize("strategy", list(MappingStrategy))
@@ -79,9 +79,9 @@ class TestBackendEquivalence:
             pixel_chunk=5,  # 13 pixels -> chunks of 5, 5, 3
         )
         ref = get_backend("reference").run(job)
-        fast = get_backend("fast").run(job)
+        vector = get_backend("vector").run(job)
         assert len(ref) == len(PAPER_CORNERS)
-        assert_reports_equivalent(ref, fast)
+        assert_reports_equivalent(ref, vector)
 
     @pytest.mark.parametrize("n_pixels", [1, 4, 11])
     def test_weight_stationary_chunk_boundaries(self, n_pixels):
@@ -95,7 +95,7 @@ class TestBackendEquivalence:
             pixel_chunk=5,
         )
         assert_reports_equivalent(
-            get_backend("reference").run(job), get_backend("fast").run(job)
+            get_backend("reference").run(job), get_backend("vector").run(job)
         )
 
     def test_equivalence_with_indivisible_k(self):
@@ -105,13 +105,13 @@ class TestBackendEquivalence:
             job = make_job(seed=5, k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
             ref = get_backend("reference").run(job)
         with pytest.warns(MappingFallbackWarning):
-            fast = get_backend("fast").run(job)
-        assert_reports_equivalent(ref, fast)
+            vector = get_backend("vector").run(job)
+        assert_reports_equivalent(ref, vector)
 
     def test_equivalence_under_pixel_blocking(self, monkeypatch):
-        # Force the fast backend's memory-bounding pixel blocks to be
-        # tiny so a job spans several blocks; results must not move.
-        from repro.engine import backends
+        # Force the vector backend's cache-sized tiles down to one pixel
+        # chunk so a job spans several blocks; results must not move.
+        from repro.engine import vector
 
         job = make_job(
             seed=21,
@@ -120,30 +120,30 @@ class TestBackendEquivalence:
             config=AcceleratorConfig(dataflow=Dataflow.WEIGHT_STATIONARY),
             pixel_chunk=4,
         )
-        unblocked = get_backend("fast").run(job)
-        monkeypatch.setattr(backends, "_MAX_BLOCK_ELEMENTS", 1)  # 1 chunk per block
-        blocked = get_backend("fast").run(job)
+        unblocked = get_backend("vector").run(job)
+        monkeypatch.setattr(vector, "_MAX_BLOCK_ELEMENTS", 1)  # 1 chunk per block
+        blocked = get_backend("vector").run(job)
         ref = get_backend("reference").run(job)
         assert_reports_equivalent(ref, blocked)
         assert_reports_equivalent(unblocked, blocked)
 
     def test_equivalence_with_out_of_range_operands(self):
         # Operands wider than the configured MAC datapath (SimJob does
-        # not range-check, matching run_gemm_corners): the fast backend's
-        # delay histogram must grow rather than crash.
+        # not range-check, matching run_gemm_corners): both backends'
+        # delay histograms must grow rather than crash.
         rng = np.random.default_rng(17)
         acts = rng.integers(0, 70000, size=(6, 8))
         weights = rng.integers(-3, 4, size=(8, 4))
         job = SimJob(acts=acts, weights=weights, corners=PAPER_CORNERS, group_size=2)
         assert_reports_equivalent(
-            get_backend("reference").run(job), get_backend("fast").run(job)
+            get_backend("reference").run(job), get_backend("vector").run(job)
         )
 
-    def test_fast_matches_expected_ber_helper(self):
+    def test_vector_matches_expected_ber_helper(self):
         job = make_job(seed=9)
         ref = get_backend("reference").run(job)[TER_EVAL_CORNER.name]
-        fast = get_backend("fast").run(job)[TER_EVAL_CORNER.name]
-        assert abs(ref.expected_output_ber() - fast.expected_output_ber()) < 1e-9
+        vector = get_backend("vector").run(job)[TER_EVAL_CORNER.name]
+        assert ref.expected_output_ber() == vector.expected_output_ber()
 
 
 class TestPlanPermutationProperty:
@@ -188,15 +188,18 @@ class TestResultCache:
             assert (c.strategy, c.corner_name) == (w.strategy, w.corner_name)
 
     def test_cache_is_backend_agnostic(self, tmp_path):
-        # Backends are interchangeable (equivalence suite above), so the
-        # cache key deliberately excludes the backend name.
+        # Backends produce identical bits (equivalence suite above), so
+        # the cache key deliberately excludes the backend name.
         job = make_job(seed=12)
-        fast_engine = SimEngine(backend="fast", cache_dir=tmp_path)
-        cold = fast_engine.run(job)
+        vector_engine = SimEngine(backend="vector", cache_dir=tmp_path)
+        cold = vector_engine.run(job)
         ref_engine = SimEngine(backend="reference", cache_dir=tmp_path)
         warm = ref_engine.run(job)
         assert ref_engine.stats.hits == 1
         assert warm[TER_EVAL_CORNER.name].ter == cold[TER_EVAL_CORNER.name].ter
+        # The hit is exactly what reference itself would have computed.
+        fresh = SimEngine(backend="reference", use_cache=False).run(job)
+        assert_reports_equivalent(fresh, warm)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -210,8 +213,29 @@ class TestResultCache:
         assert cache.load(key, job) is None  # nothing was memoized
         assert not cache._memo
 
+    def test_non_decode_error_propagates_and_keeps_the_entry(self, tmp_path, monkeypatch):
+        # Only decode errors mark an entry corrupt; anything else (e.g. a
+        # spurious SystemError from concurrent np.load header parses)
+        # must surface without deleting a valid entry.
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
+        job = make_job(seed=14)
+        engine.run(job)
+        key = job.key()
+        path = engine.cache.path_for(key)
+
+        def flaky(source):
+            raise SystemError("error return without exception set")
+
+        monkeypatch.setattr(cache_module, "read_npz", flaky)
+        fresh = ResultCache(tmp_path)
+        with pytest.raises(SystemError):
+            fresh.load(key, job)
+        assert path.exists()
+        monkeypatch.undo()
+        assert fresh.load(key, job) is not None
+
     def test_clear_and_len(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         engine.run_many([make_job(seed=s) for s in (20, 21)])
         cache = engine.cache
         assert len(cache) == 2
@@ -228,7 +252,7 @@ class TestResultCache:
         assert orphan.exists()  # clear() must not race a concurrent store
 
     def test_strict_job_raises_even_on_cache_hit(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         with pytest.warns(MappingFallbackWarning):
             relaxed = make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
             engine.run(relaxed)  # caches the degraded fallback result
@@ -239,7 +263,7 @@ class TestResultCache:
             engine.run(strict_twin)
 
     def test_fallback_warning_survives_cache_hit(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         with pytest.warns(MappingFallbackWarning):
             engine.run(make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER))
         with pytest.warns(MappingFallbackWarning):  # hit must stay loud
@@ -247,7 +271,7 @@ class TestResultCache:
         assert engine.stats.hits == 1
 
     def test_fallback_warning_fires_exactly_once_per_inline_miss(self):
-        engine = SimEngine(backend="fast", use_cache=False)
+        engine = SimEngine(backend="vector", use_cache=False)
         job = make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -264,7 +288,7 @@ class TestCacheReadPath:
     def stored(tmp_path, seeds=(40,)):
         cache = ResultCache(tmp_path)
         jobs = [make_job(seed=s) for s in seeds]
-        results = SimEngine(backend="fast", use_cache=False).run_many(jobs)
+        results = SimEngine(backend="vector", use_cache=False).run_many(jobs)
         for job, result in zip(jobs, results):
             cache.store(job.key(), job, result)
         return ResultCache(tmp_path), jobs  # a fresh memo
@@ -295,7 +319,7 @@ class TestCacheReadPath:
             return builtins.open(path, *args, **kwargs)
 
         monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
-        engine = SimEngine(backend="fast", cache_dir=cache)
+        engine = SimEngine(backend="vector", cache_dir=cache)
         first = engine.run(job)
         again = [engine.run(job) for _ in range(3)]
         assert opened == [cache.path_for(job.key())]
@@ -397,19 +421,19 @@ class TestJobKey:
 
 class TestScheduler:
     def test_run_many_preserves_order_with_mixed_hits(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         jobs = [make_job(seed=s, strategy=MappingStrategy.BASELINE) for s in range(3)]
         engine.run(jobs[1])  # pre-populate the middle job
         results = engine.run_many(jobs)
         for job, reports in zip(jobs, results):
-            direct = get_backend("fast").run(job)
+            direct = get_backend("vector").run(job)
             assert np.array_equal(
                 reports[TER_EVAL_CORNER.name].outputs, direct[TER_EVAL_CORNER.name].outputs
             )
         assert engine.stats.hits == 1
 
     def test_same_key_jobs_deduplicate_within_batch(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         job = make_job(seed=60)
         twin = make_job(seed=60, label="relabelled")  # same key, new label
         results = engine.run_many([job, twin, make_job(seed=61)])
@@ -421,7 +445,7 @@ class TestScheduler:
 
     def test_no_dedup_without_cache(self):
         # With the cache off no keys are derived; every job executes.
-        engine = SimEngine(backend="fast", use_cache=False)
+        engine = SimEngine(backend="vector", use_cache=False)
         job = make_job(seed=62)
         engine.run_many([job, job])
         assert engine.stats.misses == 2
@@ -429,10 +453,10 @@ class TestScheduler:
 
     def test_process_pool_matches_inline(self, tmp_path):
         jobs = [make_job(seed=s) for s in (40, 41, 42)]
-        inline = SimEngine(backend="fast", use_cache=False).run_many(jobs)
-        pooled = SimEngine(backend="fast", jobs=2, use_cache=False).run_many(jobs)
+        inline = SimEngine(backend="vector", use_cache=False).run_many(jobs)
+        pooled = SimEngine(backend="vector", jobs=2, use_cache=False).run_many(jobs)
         for i, p in zip(inline, pooled):
-            assert_reports_equivalent(i, p, tol=0.0)
+            assert_reports_equivalent(i, p)
 
     def test_fallback_warning_reaches_parent_with_process_pool(self):
         # Worker-process warnings never reach the caller; the scheduler
@@ -441,7 +465,7 @@ class TestScheduler:
             make_job(seed=s, k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
             for s in (50, 51)
         ]
-        engine = SimEngine(backend="fast", jobs=2, use_cache=False)
+        engine = SimEngine(backend="vector", jobs=2, use_cache=False)
         with pytest.warns(MappingFallbackWarning):
             engine.run_many(jobs)
 
@@ -466,10 +490,10 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             get_backend("nope")
         with pytest.raises(ConfigurationError):
-            register_backend("fast", lambda: None)  # duplicate name
+            register_backend("vector", lambda: None)  # duplicate name
 
     def test_backend_names(self):
-        assert {"reference", "fast"} <= set(backend_names())
+        assert backend_names() == ["reference", "vector"]
 
 
 class TestSimJobValidation:
@@ -539,7 +563,7 @@ class TestStrictPlanning:
     def test_strict_job_raises_at_plan_time(self):
         job = make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER, strict=True)
         with pytest.raises(MappingError):
-            get_backend("fast").run(job)
+            get_backend("vector").run(job)
 
     def test_no_warning_when_clustering_succeeds(self):
         rng = np.random.default_rng(0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engine.backends import _REGISTRY, FastBackend, register_backend
+from repro.engine.backends import _REGISTRY, ReferenceBackend, register_backend
 from repro.engine.fuzz import (
     FuzzCase,
     build_jobs,
@@ -109,8 +109,11 @@ def test_repro_command_is_replayable():
     assert FuzzCase.from_spec(spec) == case
 
 
-class _BrokenBackend(FastBackend):
-    """fast, with one output element corrupted: the mutant to catch."""
+# Mutants subclass ReferenceBackend: its run_network loops run(), so the
+# whole-network fold carries the same mutation and the fuzzer reports
+# only the mutated field.
+class _BrokenBackend(ReferenceBackend):
+    """reference, with one output element corrupted: the mutant to catch."""
 
     name = "broken-mutant"
 
@@ -123,8 +126,8 @@ class _BrokenBackend(FastBackend):
         return reports
 
 
-class _BrokenTerBackend(FastBackend):
-    """fast, with the TER nudged past tolerance: a pricing mutant."""
+class _BrokenTerBackend(ReferenceBackend):
+    """reference, with the TER nudged by 1e-6: a pricing mutant."""
 
     name = "broken-ter-mutant"
 
@@ -135,9 +138,23 @@ class _BrokenTerBackend(FastBackend):
         return reports
 
 
+class _UlpTerBackend(ReferenceBackend):
+    """reference, with every TER one ulp too high: a summation-order
+    drift that only an exact TER comparison catches."""
+
+    name = "ulp-ter-mutant"
+
+    def run(self, job):
+        reports = super().run(job)
+        for corner, report in reports.items():
+            ter = float(np.nextafter(report.ter, np.inf))
+            reports[corner] = dataclasses.replace(report, ter=ter)
+        return reports
+
+
 @pytest.mark.parametrize(
     "backend_cls, expect_what",
-    [(_BrokenBackend, "outputs"), (_BrokenTerBackend, "ter")],
+    [(_BrokenBackend, "outputs"), (_BrokenTerBackend, "ter"), (_UlpTerBackend, "ter")],
 )
 def test_mutation_smoke_broken_backend_is_caught(backend_cls, expect_what, capsys):
     """A deliberately broken backend must be caught, shrunk, and repro'd."""

@@ -13,8 +13,9 @@ then reviewed like any other diff: the fixture files *are* the claim
 that the figures still say what they said.
 
 Floats are compared at 1e-6 relative tolerance (and stored rounded to
-10 significant digits), far above the 1e-9 cross-backend freedom and
-far below any real regression.
+10 significant digits), far below any real regression.  The backends
+themselves are bit-identical, so the tolerance only absorbs the
+rounding of the stored fixtures.
 """
 
 import json

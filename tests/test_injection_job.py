@@ -178,14 +178,14 @@ class TestReproducibility:
 
     def test_pool_matches_inline_cold(self, bundle):
         jobs = [make_job(bundle, base_seed=s) for s in (11, 12)]
-        inline = SimEngine(backend="fast", use_cache=False).run_many(jobs)
-        pooled = SimEngine(backend="fast", jobs=2, use_cache=False).run_many(jobs)
+        inline = SimEngine(backend="vector", use_cache=False).run_many(jobs)
+        pooled = SimEngine(backend="vector", jobs=2, use_cache=False).run_many(jobs)
         for i, p in zip(inline, pooled):
             assert i.trial_accuracies == p.trial_accuracies
             assert i.flips_injected == p.flips_injected
 
     def test_cache_hit_is_byte_identical_to_cold_run(self, bundle, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         job = make_job(bundle)
         cold = engine.run(job)
         assert engine.stats.misses == 1
@@ -205,12 +205,12 @@ class TestReproducibility:
         serial reference all agree bit-for-bit on the same job batch."""
         jobs = [make_job(bundle, base_seed=s, runtime="batched") for s in (21, 22)]
         serial_jobs = [dataclasses.replace(j, runtime="serial") for j in jobs]
-        pooled = SimEngine(backend="fast", jobs=2, use_cache=False).run_many(jobs)
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        pooled = SimEngine(backend="vector", jobs=2, use_cache=False).run_many(jobs)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         cold = engine.run_many(jobs)
         warm = engine.run_many(jobs)
         assert engine.stats.hits == len(jobs)
-        serial = SimEngine(backend="fast", use_cache=False).run_many(serial_jobs)
+        serial = SimEngine(backend="vector", use_cache=False).run_many(serial_jobs)
         for p, c, w, s in zip(pooled, cold, warm, serial):
             assert p.trial_accuracies == c.trial_accuracies == w.trial_accuracies
             assert s.trial_accuracies == c.trial_accuracies
@@ -257,7 +257,7 @@ class TestReproducibility:
 
     def test_runtimes_share_cache_entries(self, bundle, tmp_path):
         """A serial job recalls a batched job's cached result (same key)."""
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         batched = engine.run(make_job(bundle, runtime="batched"))
         assert engine.stats.misses == 1
         recalled = engine.run(make_job(bundle, runtime="serial"))
@@ -282,7 +282,7 @@ class TestAgainstInlineEvaluator:
             inject_n=16,
             n_trials=2,
             base_seed=5,
-            engine=SimEngine(backend="fast", cache_dir=tmp_path),
+            engine=SimEngine(backend="vector", cache_dir=tmp_path),
         )
         assert routed.trial_accuracies == inline.trial_accuracies
         assert routed.mean_accuracy == inline.mean_accuracy

@@ -36,12 +36,12 @@ def sweeps(tmp_path_factory):
     cold = run_all(
         scale=SMALLEST,
         artifacts_dir=root / "cold",
-        engine=SimEngine(backend="fast", jobs=1, cache_dir=cache),
+        engine=SimEngine(backend="vector", jobs=1, cache_dir=cache),
     )
     warm = run_all(
         scale=SMALLEST,
         artifacts_dir=root / "warm",
-        engine=SimEngine(backend="fast", jobs=1, cache_dir=cache),
+        engine=SimEngine(backend="vector", jobs=1, cache_dir=cache),
     )
     return cold, warm
 
@@ -61,7 +61,7 @@ class TestManifest:
     def test_engine_and_scale_recorded(self, sweeps):
         cold, _ = sweeps
         assert cold.manifest["scale"] == SMALLEST.name
-        assert cold.manifest["engine"] == {"backend": "fast", "jobs": 1, "cache": True}
+        assert cold.manifest["engine"] == {"backend": "vector", "jobs": 1, "cache": True}
 
     def test_every_simulating_figure_submits_only_engine_jobs(self, sweeps):
         cold, _ = sweeps
