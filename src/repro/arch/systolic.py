@@ -82,50 +82,6 @@ class LayerReliabilityReport:
         return float(1.0 - (1.0 - self.ter) ** self.n_macs_per_output)
 
 
-def weight_stationary_fold(
-    psum_fields: np.ndarray,
-    native_spans: np.ndarray,
-    pixel_chunk: int,
-    width: int,
-) -> Tuple[np.ndarray, int, int]:
-    """Weight-stationary register adjacency, folded as whole-tensor ops.
-
-    Field-domain equivalent of
-    :meth:`SystolicArraySimulator._apply_dataflow_adjacency` for a whole
-    pixel block at once: under weight-stationary dataflow the PSUM
-    register at each reduction stage sees consecutive *pixels* (axis 0 of
-    ``psum_fields``), so the settle spans and sign flips are recomputed
-    from the pixel-adjacent XOR instead of the within-pixel one.  The
-    first pixel of every ``pixel_chunk`` keeps its within-pixel
-    ``native_spans`` (its predecessor is the tile-boundary reload) and is
-    excluded from the flip statistic, exactly as the reference
-    simulator's chunk loop does — one shifted XOR plus one ``frexp``
-    replaces the per-chunk Python iteration.
-
-    Parameters
-    ----------
-    psum_fields:
-        ``(n_pixels, ...)`` unsigned two's-complement PSUM register
-        fields (cycle results), pixel axis first.
-    native_spans:
-        Within-pixel toggle spans, same shape (consumed only at chunk
-        starts).
-    pixel_chunk / width:
-        Chunking and register width of the simulated array.
-
-    Returns
-    -------
-    (spans, flip_count, transition_count):
-        The dataflow-adjusted spans (same shape/dtype class as
-        ``native_spans``) and the sign-flip/transition totals.
-    """
-    spans, flips, transition_rows = weight_stationary_fold_grouped(
-        psum_fields, native_spans, pixel_chunk, width, ((slice(None),),)
-    )
-    per_cycle = int(np.prod(psum_fields.shape[1:], dtype=np.int64))
-    return spans, flips[0], transition_rows * per_cycle
-
-
 def weight_stationary_fold_grouped(
     psum_fields: np.ndarray,
     native_spans: np.ndarray,
@@ -134,7 +90,20 @@ def weight_stationary_fold_grouped(
     group_slices: Sequence[tuple],
     span_bias: int = 0,
 ) -> Tuple[np.ndarray, Tuple[int, ...], int]:
-    """:func:`weight_stationary_fold` with per-slice flip accounting.
+    """Weight-stationary register adjacency, folded as whole-tensor ops.
+
+    Field-domain equivalent of
+    :meth:`SystolicArraySimulator._apply_dataflow_adjacency` for a whole
+    pixel block at once: under weight-stationary dataflow the PSUM
+    register at each reduction stage sees consecutive *pixels* (axis 0 of
+    ``psum_fields``, the unsigned two's-complement register fields), so
+    the settle spans and sign flips are recomputed from the
+    pixel-adjacent XOR instead of the within-pixel one.  The first pixel
+    of every ``pixel_chunk`` keeps its within-pixel ``native_spans``
+    (same shape; its predecessor is the tile-boundary reload) and is
+    excluded from the flip statistic, exactly as the reference
+    simulator's chunk loop does — one shifted XOR plus one exponent read
+    replaces the per-chunk Python iteration.
 
     The ``vector`` backend stacks several layers' group-GEMMs along one
     axis of a shared tile; the fold itself is elementwise along the
@@ -142,10 +111,11 @@ def weight_stationary_fold_grouped(
     *flip totals* must come back per job.  ``group_slices`` are full
     index tuples (one per stacked job, e.g.
     ``(slice(None), slice(None), job_slice)`` for a stacked axis at
-    position 2); the returned ``flips`` tuple is aligned with them.
-    Returns ``(spans, flips_per_slice, transition_rows)`` where each
-    slice's transition count is ``transition_rows`` times its per-row
-    cycle count.
+    position 2; ``((slice(None),),)`` for one unstacked job); the
+    returned ``flips`` tuple is aligned with them.  Returns
+    ``(spans, flips_per_slice, transition_rows)``: the dataflow-adjusted
+    spans (same shape as ``native_spans``), and each slice's transition
+    count is ``transition_rows`` times its per-row cycle count.
 
     ``span_bias`` selects the span encoding.  0 keeps plain 1-based
     spans (``frexp`` exponents).  The vector backend instead keys its

@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+import warnings
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from .engine import backend_names, configure_default_engine
 from .engine.cache import parse_byte_count
@@ -560,11 +562,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         use_cache=False if args.no_cache else None,
     )
     try:
-        return _run_engine_command(args, engine)
+        with _each_warning_once():
+            return _run_engine_command(args, engine)
     finally:
         # Sweeps the operand arena: without it the segments this run
         # published outlive the process (atexit only drops leases).
         engine.close()
+
+
+@contextmanager
+def _each_warning_once() -> Iterator[None]:
+    """Show each distinct warning message once per command.
+
+    Python's once-per-location registry forgets what it has shown
+    whenever the warning filters change, and a lazy ``scipy`` import
+    changes them mid-run; so the command keeps its own record.
+    """
+    shown = set()
+    show = warnings.showwarning
+
+    def show_once(message, category, *rest) -> None:
+        if (category, str(message)) not in shown:
+            shown.add((category, str(message)))
+            show(message, category, *rest)
+
+    warnings.showwarning = show_once
+    try:
+        yield
+    finally:
+        warnings.showwarning = show
 
 
 def _run_engine_command(args, engine) -> int:

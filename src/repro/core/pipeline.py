@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import enum
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +117,26 @@ class LayerMappingPlan:
         )
 
 
+#: True while :func:`plans_diagnosed` is active.
+_DIAGNOSED: ContextVar[bool] = ContextVar("repro_plans_diagnosed", default=False)
+
+
+@contextmanager
+def plans_diagnosed() -> Iterator[None]:
+    """Skip :func:`check_clustering_request` inside: the caller already ran it.
+
+    The engine's scheduler diagnoses every job when it is submitted and
+    executes the jobs inside this context, so the planner does not repeat
+    the diagnostic.  Unlike a ``warnings`` filter, it leaves the filters
+    alone, and with them Python's record of the warnings already shown.
+    """
+    token = _DIAGNOSED.set(True)
+    try:
+        yield
+    finally:
+        _DIAGNOSED.reset(token)
+
+
 def check_clustering_request(
     k: int,
     group_size: int,
@@ -129,9 +151,10 @@ def check_clustering_request(
     recalled from the cache and no plan is built).  Emits a
     :class:`~repro.errors.MappingFallbackWarning`, or raises
     :class:`~repro.errors.MappingError` with ``strict=True``; a no-op for
-    feasible requests and non-clustering strategies.
+    feasible requests, non-clustering strategies and inside
+    :func:`plans_diagnosed`.
     """
-    if strategy is not MappingStrategy.CLUSTER_THEN_REORDER:
+    if strategy is not MappingStrategy.CLUSTER_THEN_REORDER or _DIAGNOSED.get():
         return
     if k % group_size == 0 and k > group_size:
         return

@@ -50,7 +50,8 @@ from typing import (
     Union,
 )
 
-from ..errors import ConfigurationError, MappingFallbackWarning
+from ..core.pipeline import plans_diagnosed
+from ..errors import ConfigurationError
 from .backends import SimulationBackend, backend_factory, get_backend
 from .cache import ResultCache
 from .client import EngineClient, EngineClientError
@@ -89,10 +90,13 @@ def _execute_job(factory: Callable[[], SimulationBackend], job: EngineJob):
     Returns ``(result, counters)``: the runtime work-avoidance counters
     (pruned/deduped trials, arena traffic) accumulated in this worker
     while the job ran travel home with the result and fold into the
-    submitting engine's :class:`EngineMetrics`.
+    submitting engine's :class:`EngineMetrics`.  The submitting process
+    already diagnosed the job, so the planner does not repeat the
+    diagnostic here.
     """
     _drained_counters()  # stray counters from before this job are not ours
-    result = job.execute(factory)
+    with plans_diagnosed():
+        result = job.execute(factory)
     return result, _drained_counters()
 
 
@@ -525,9 +529,9 @@ class SimEngine:
                 first_index_for_key[keys[i]] = i
             pending.append(i)
 
-        # check() above already warned once per degraded job, so the
-        # repeat from plan_layer inside the backend is suppressed here
-        # (worker processes emit theirs to their own stderr regardless).
+        # check() above already diagnosed every job, so the planner
+        # inside the backend does not repeat it (plans_diagnosed, here
+        # and in _execute_job).
         factory = backend_factory(self.backend_name)
         if len(pending) > 1 and self.jobs > 1:
             workers = min(self.jobs, len(pending))
@@ -547,8 +551,7 @@ class SimEngine:
                         for i, result in zip(idxs, value):
                             results[i] = result
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MappingFallbackWarning)
+            with plans_diagnosed():
                 _drained_counters()  # not ours: accumulated outside the engine
                 sim_pending = [i for i in pending if isinstance(jobs[i], SimJob)]
                 if len(sim_pending) > 1:
@@ -688,8 +691,7 @@ class SimEngine:
                             if j in cancel_requested and not fut.done():
                                 fut.cancel()
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MappingFallbackWarning)
+            with plans_diagnosed():
                 _drained_counters()  # not ours: accumulated outside the engine
                 for i in pending:
                     if i in cancel_requested:

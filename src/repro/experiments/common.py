@@ -6,7 +6,9 @@
   ``REPRO_SCALE`` environment variable or per-call argument.
 * :func:`get_bundle` — trains (or loads from the on-disk cache) one of
   the paper's model/dataset combinations and returns the float model, the
-  calibrated quantized network and the evaluation data.
+  calibrated quantized network and the evaluation data.  The on-disk
+  state holds the trained parameters and the quantizer's calibration
+  observations, so a reload runs no forward pass.
 * :func:`measure_layer_ters` — the central measurement: replay each conv
   layer's real quantized operand stream through the systolic-array DTA
   under every requested strategy and PVTA corner.  The measurement is
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +39,7 @@ from ..nn.datasets import load_dataset
 from ..nn.layers import BatchNorm2d
 from ..nn.models import ClassifierNetwork, build_model
 from ..nn.quantize import (
+    CALIBRATION_VERSION,
     QuantizedDynamicMatmul,
     QuantizedNetwork,
     canonical_bits,
@@ -125,9 +128,48 @@ class TrainedBundle:
     #: default applied to unlisted layers — the mixed-precision axis.
     bits_per_layer: Tuple[Tuple[str, int], ...] = ()
     default_bits: int = 8
+    _streams: Dict[int, Dict[str, object]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def operand_streams(self, n_images: int) -> Dict[str, object]:
+        """The operand streams of the first ``n_images`` test images.
+
+        Recorded once per image count (see :func:`record_operand_streams`)
+        and kept for the bundle's lifetime, shared by every runner that
+        measures it.  Each array is read-only, so no caller can change
+        another's operands, and narrowed to the smallest integer dtype
+        that holds its values, so the kept streams cost less memory than
+        one int64 recording; :func:`sample_layer_acts` and
+        :func:`gemm_sim_units` widen the rows they sample back to int64.
+        """
+        streams = self._streams.get(n_images)
+        if streams is None:
+            recorded = record_operand_streams(self.qnet, self.x_test[:n_images])
+            streams = {
+                name: tuple(map(_narrowed, value))
+                if isinstance(value, tuple)
+                else _narrowed(value)
+                for name, value in recorded.items()
+            }
+            self._streams[n_images] = streams
+        return streams
+
+
+def _narrowed(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of integer ``arr`` in the narrowest dtype holding its values."""
+    dtype = np.result_type(
+        np.min_scalar_type(arr.min(initial=0)), np.min_scalar_type(arr.max(initial=0))
+    )
+    out = arr.astype(dtype)
+    out.flags.writeable = False
+    return out
 
 
 _BUNDLE_CACHE: Dict[Tuple, TrainedBundle] = {}
+
+#: Prefix of the per-GEMM-op calibration entries in a trained-state npz.
+_CALIBRATION_PREFIX = "calibration."
 
 
 def cache_dir() -> Path:
@@ -155,23 +197,41 @@ def _state_arrays(model: ClassifierNetwork) -> Dict[str, np.ndarray]:
     return state
 
 
-def save_model_state(model: ClassifierNetwork, path: Path) -> None:
+def save_model_state(
+    model: ClassifierNetwork,
+    path: Path,
+    calibration: Optional[Dict[str, np.ndarray]] = None,
+) -> None:
     """Persist a trained model's parameters to ``path`` (npz).
 
-    Written atomically (temp file + ``os.replace``) so pool workers that
-    race to train the same missing bundle never observe a partial file.
+    ``calibration`` — the quantized network's
+    :meth:`~repro.nn.quantize.QuantizedNetwork.calibration` — is stored
+    beside the parameters, tagged with ``CALIBRATION_VERSION``.  Written
+    atomically (temp file + ``os.replace``) so pool workers that race to
+    train the same missing bundle never observe a partial file.
     """
+    arrays = _state_arrays(model)
+    if calibration is not None:
+        arrays["calibration_version"] = np.array(CALIBRATION_VERSION)
+        for name, values in calibration.items():
+            arrays[_CALIBRATION_PREFIX + name] = values
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **_state_arrays(model))
+            np.savez_compressed(handle, **arrays)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def load_model_state(model: ClassifierNetwork, path: Path) -> None:
-    """Restore parameters saved by :func:`save_model_state` in place."""
+def load_model_state(
+    model: ClassifierNetwork, path: Path
+) -> Optional[Dict[str, np.ndarray]]:
+    """Restore parameters saved by :func:`save_model_state` in place.
+
+    Returns the stored calibration observations, or ``None`` when the
+    file holds none of the current ``CALIBRATION_VERSION``.
+    """
     with np.load(path) as data:
         for i, p in enumerate(model.parameters()):
             p.data[...] = data[f"p{i}"]
@@ -181,6 +241,16 @@ def load_model_state(model: ClassifierNetwork, path: Path) -> None:
                 module.running_mean[...] = data[f"rm{bn_idx}"]
                 module.running_var[...] = data[f"rv{bn_idx}"]
                 bn_idx += 1
+        if (
+            "calibration_version" not in data.files
+            or int(data["calibration_version"]) != CALIBRATION_VERSION
+        ):
+            return None
+        return {
+            key[len(_CALIBRATION_PREFIX):]: data[key]
+            for key in data.files
+            if key.startswith(_CALIBRATION_PREFIX)
+        }
 
 
 def get_bundle(
@@ -198,6 +268,13 @@ def get_bundle(
     select a mixed-precision quantization of the *same* trained float
     parameters: training is precision-independent, so every precision
     variant of a recipe shares one on-disk parameter snapshot.
+
+    The snapshot also holds the calibration observations of the float
+    pass, which do not depend on the bit widths either; a reload
+    restores the activation scales from them and draws only the test
+    split.  A snapshot without them (written by an older version, or by
+    :func:`save_model_state` without ``calibration``) is calibrated once
+    and rewritten.
     """
     scale = scale or get_scale()
     bits = canonical_bits(bits_per_layer, default_bits)
@@ -209,25 +286,29 @@ def get_bundle(
     model_name, dataset_name = MODEL_RECIPES[recipe]
 
     dataset = load_dataset(dataset_name)
-    x_train, y_train, x_test, y_test = dataset.train_test(
-        n_train=scale.n_train, n_test=scale.n_test, seed=seed
-    )
     n_classes = dataset.spec.n_classes
     model = build_model(model_name, n_classes=n_classes, width=scale.width, seed=seed)
 
     state_path = cache_dir() / (
         f"{recipe}-{scale.name}-w{scale.width}-n{scale.n_train}-e{scale.epochs}-s{seed}.npz"
     )
-    if state_path.exists():
-        load_model_state(model, state_path)
+    trained = state_path.exists()
+    calibration = load_model_state(model, state_path) if trained else None
+    if calibration is None:
+        # Training, or a file without current observations: the only
+        # paths that draw the training split.
+        x_train, y_train = dataset.train_split(scale.n_train, seed=seed)
+        if not trained:
+            Trainer(model, lr=0.03, batch_size=32, seed=seed).fit(
+                x_train, y_train, epochs=scale.epochs
+            )
+        qnet = quantize_model(model, bits_per_layer=dict(bits), default_bits=default_bits)
+        qnet.calibrate(x_train[: min(64, x_train.shape[0])])
+        save_model_state(model, state_path, qnet.calibration())
     else:
-        Trainer(model, lr=0.03, batch_size=32, seed=seed).fit(
-            x_train, y_train, epochs=scale.epochs
-        )
-        save_model_state(model, state_path)
-
-    qnet = quantize_model(model, bits_per_layer=dict(bits), default_bits=default_bits)
-    qnet.calibrate(x_train[: min(64, x_train.shape[0])])
+        qnet = quantize_model(model, bits_per_layer=dict(bits), default_bits=default_bits)
+        qnet.restore_calibration(calibration)
+    x_test, y_test = dataset.test_split(scale.n_test, seed=seed)
     quant_acc = qnet.evaluate(x_test[: scale.inject_n], y_test[: scale.inject_n])
 
     bundle = TrainedBundle(
@@ -310,10 +391,10 @@ def layer_sample_rng(seed: int, layer_name: str) -> np.random.Generator:
 def sample_layer_acts(
     streams: Dict[str, np.ndarray], layer_name: str, max_pixels: int, seed: int = 0
 ) -> np.ndarray:
-    """Sub-sample one layer's recorded operand stream to ``max_pixels`` rows."""
+    """Sub-sample one layer's recorded operand stream to ``max_pixels`` int64 rows."""
     cols = streams[layer_name]
     rows = sample_pixel_rows(cols.shape[0], max_pixels, layer_sample_rng(seed, layer_name))
-    return cols[rows]
+    return cols[rows].astype(np.int64, copy=False)
 
 
 #: Stationary-operand instances sampled per dynamic (activation-
@@ -374,8 +455,8 @@ def gemm_sim_units(
             units.append(
                 GemmSimUnit(
                     suffix=f"[i{j}]" if len(instances) > 1 else "",
-                    acts=a_q[i][rows],
-                    weights=b_q[i],
+                    acts=a_q[i][rows].astype(np.int64, copy=False),
+                    weights=np.asarray(b_q[i], dtype=np.int64),
                     config=cfg,
                 )
             )
@@ -510,7 +591,8 @@ def measure_layer_ters(
     The activation streams are the *real* quantized intermediate tensors
     produced by forwarding ``x_images``, sub-sampled to ``max_pixels``
     GEMM rows per layer (an unbiased per-cycle average); callers that
-    already recorded the same forward pass can pass its streams in via
+    already recorded the same forward pass (for a bundle,
+    :meth:`TrainedBundle.operand_streams`) can pass its streams in via
     ``streams`` to skip the re-recording.
 
     The (layer x strategy) measurements are one engine batch: with

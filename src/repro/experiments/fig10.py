@@ -43,7 +43,6 @@ from .common import (
     layer_ter_jobs,
     macs_per_layer,
     measure_layer_ters,
-    record_operand_streams,
     render_table,
     ters_for_corner,
 )
@@ -105,6 +104,7 @@ def injection_jobs_for_grid(
         corners=list(corners),
         strategies=strategies,
         max_pixels=scale.ter_pixels,
+        streams=bundle.operand_streams(scale.ter_images),
     )
     n_macs = macs_per_layer(records)
     jobs: List[InjectionJob] = []
@@ -184,7 +184,7 @@ def plan(
     jobs: List[EngineJob] = []
     for recipe in recipes or DEFAULT_RECIPES:
         bundle = get_bundle(recipe, scale)
-        streams = record_operand_streams(bundle.qnet, bundle.x_test[: scale.ter_images])
+        streams = bundle.operand_streams(scale.ter_images)
         jobs.extend(
             layer_ter_jobs(
                 bundle.qnet,

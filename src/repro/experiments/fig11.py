@@ -30,7 +30,6 @@ from .common import (
     get_bundle,
     get_scale,
     layer_ter_jobs,
-    record_operand_streams,
 )
 from .fig10 import (
     AccuracyGrid,
@@ -66,7 +65,7 @@ def plan(
     jobs: List[EngineJob] = []
     for recipe in recipes or DEFAULT_RECIPES:
         bundle = get_bundle(recipe, scale)
-        streams = record_operand_streams(bundle.qnet, bundle.x_test[: scale.ter_images])
+        streams = bundle.operand_streams(scale.ter_images)
         jobs.extend(
             layer_ter_jobs(
                 bundle.qnet,

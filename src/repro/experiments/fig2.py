@@ -30,7 +30,6 @@ from .common import (
     get_bundle,
     get_scale,
     layer_ter_jobs,
-    record_operand_streams,
     render_table,
 )
 
@@ -65,7 +64,7 @@ def plan(scale: Optional[ExperimentScale] = None, recipe: str = "vgg16_cifar10")
     """
     scale = scale or get_scale()
     bundle = get_bundle(recipe, scale)
-    streams = record_operand_streams(bundle.qnet, bundle.x_test[: scale.ter_images])
+    streams = bundle.operand_streams(scale.ter_images)
     jobs: List[EngineJob] = []
     for dataflow in (Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY):
         jobs.extend(

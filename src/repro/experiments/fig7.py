@@ -23,7 +23,6 @@ from .common import (
     ExperimentScale,
     get_bundle,
     get_scale,
-    record_operand_streams,
     render_table,
     sample_layer_acts,
 )
@@ -67,7 +66,7 @@ def plan(
     layer_index = min(layer_index, len(qconvs) - 1)
     qc = qconvs[layer_index]
 
-    streams = record_operand_streams(bundle.qnet, bundle.x_test[: scale.ter_images])
+    streams = bundle.operand_streams(scale.ter_images)
     acts = sample_layer_acts(streams, qc.name, scale.ter_pixels)
     wmat = qc.lowered_weight_matrix()
     corners = PAPER_CORNERS if corner in PAPER_CORNERS else (corner,)

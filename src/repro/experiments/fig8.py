@@ -26,7 +26,6 @@ from .common import (
     get_scale,
     layer_ter_jobs,
     measure_layer_ters,
-    record_operand_streams,
     render_table,
 )
 
@@ -91,6 +90,7 @@ def measure_network(
         corners=_measurement_corners(corner),
         strategies=ALL_STRATEGIES,
         max_pixels=scale.ter_pixels,
+        streams=bundle.operand_streams(scale.ter_images),
     )
     layers = [r.layer for r in records["baseline"]]
     ter = {
@@ -112,7 +112,7 @@ def plan(
     jobs: List[EngineJob] = []
     for recipe in recipes:
         bundle = get_bundle(recipe, scale)
-        streams = record_operand_streams(bundle.qnet, bundle.x_test[: scale.ter_images])
+        streams = bundle.operand_streams(scale.ter_images)
         jobs.extend(
             layer_ter_jobs(
                 bundle.qnet,

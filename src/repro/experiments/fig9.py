@@ -18,7 +18,7 @@ import numpy as np
 
 from ..arch import sample_pixel_rows
 from ..core import MappingStrategy, count_sign_flips, plan_layer, prefix_sums
-from .common import ExperimentScale, get_bundle, get_scale, record_operand_streams
+from .common import ExperimentScale, get_bundle, get_scale
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def run(
     layer_index = min(layer_index, len(qconvs) - 1)
     qc = qconvs[layer_index]
 
-    streams = record_operand_streams(bundle.qnet, bundle.x_test[:1])
+    streams = bundle.operand_streams(1)
     cols = streams[qc.name]
     rng = np.random.default_rng(1)
     rows = sample_pixel_rows(cols.shape[0], n_outputs, rng)

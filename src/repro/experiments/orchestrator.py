@@ -76,12 +76,18 @@ def default_artifacts_dir(scale: ExperimentScale) -> Path:
     return Path(__file__).resolve().parents[3] / "artifacts" / scale.name
 
 
-def _dedup(jobs: List[EngineJob]) -> Tuple[List[EngineJob], Dict[str, Dict[str, object]]]:
-    """Order-preserving unique-by-key jobs plus their provenance records."""
+def _dedup(
+    jobs: List[EngineJob], keys: Optional[List[str]] = None
+) -> Tuple[List[EngineJob], Dict[str, Dict[str, object]]]:
+    """Order-preserving unique-by-key jobs plus their provenance records.
+
+    ``keys`` are the jobs' keys, when the caller already derived them.
+    """
+    if keys is None:
+        keys = [job.key() for job in jobs]
     unique: List[EngineJob] = []
     described: Dict[str, Dict[str, object]] = {}
-    for job in jobs:
-        key = job.key()
+    for job, key in zip(jobs, keys):
         if key not in described:
             described[key] = job.describe()
             unique.append(job)
@@ -94,17 +100,20 @@ def _plan_phase(
     attr: str,
     planned: Dict[str, _PlannedExperiment],
     key_list: str,
-) -> List[EngineJob]:
-    """Collect one phase's jobs from every runner exposing ``attr``."""
+) -> Tuple[List[EngineJob], List[str]]:
+    """Collect one phase's jobs, and their keys, from every runner exposing ``attr``."""
     jobs: List[EngineJob] = []
+    keys: List[str] = []
     for name in names:
         plan_fn = getattr(RUNNERS[name], attr, None)
         if plan_fn is None:
             continue
         experiment_jobs = list(plan_fn(scale))
-        getattr(planned[name], key_list).extend(job.key() for job in experiment_jobs)
+        experiment_keys = [job.key() for job in experiment_jobs]
+        getattr(planned[name], key_list).extend(experiment_keys)
         jobs.extend(experiment_jobs)
-    return jobs
+        keys.extend(experiment_keys)
+    return jobs, keys
 
 
 def run_all(
@@ -136,8 +145,8 @@ def run_all(
         if engine.cache is not None:
             phases.append(("plan_injections", "injection_keys"))
         for attr, key_list in phases:
-            jobs = _plan_phase(names, scale, attr, planned, key_list)
-            unique, described = _dedup(jobs)
+            jobs, keys = _plan_phase(names, scale, attr, planned, key_list)
+            unique, described = _dedup(jobs, keys)
             job_records.update(described)
             sweep_stats["planned"] += len(jobs)
             sweep_stats["unique"] += len(unique)

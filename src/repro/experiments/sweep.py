@@ -48,7 +48,6 @@ from .common import (
     layer_ter_jobs,
     macs_per_layer,
     measure_layer_ters,
-    record_operand_streams,
     render_table,
     ters_for_corner,
 )
@@ -97,8 +96,7 @@ def scenario_bundle(scenario: Scenario, scale: ExperimentScale) -> TrainedBundle
 
 def _scenario_streams(scenario: Scenario, scale: ExperimentScale):
     """One recorded quantized forward per scenario (shared by both phases)."""
-    bundle = scenario_bundle(scenario, scale)
-    return record_operand_streams(bundle.qnet, bundle.x_test[: scale.ter_images])
+    return scenario_bundle(scenario, scale).operand_streams(scale.ter_images)
 
 
 def _scenario_sim_jobs(

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from ..errors import ConfigurationError, unknown_name_error
 
@@ -40,8 +39,11 @@ def gaussian_survival(z: np.ndarray) -> np.ndarray:
 
     Shared by the per-cycle DTA (:mod:`repro.hw.dta`) and the backends'
     histogram pricing, so every path prices a Gaussian corner with
-    bit-identical float math.
+    bit-identical float math.  ``scipy`` is imported here, on first
+    use, so a run served from the result cache never loads it.
     """
+    from scipy.special import erfc
+
     return 0.5 * erfc(z / np.sqrt(2.0))
 
 

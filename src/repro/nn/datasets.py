@@ -137,13 +137,23 @@ class SyntheticImageDataset:
         flat = (flat - lo) / np.maximum(hi - lo, 1e-9)
         return flat.reshape(images.shape), labels.astype(np.int64)
 
+    def train_split(self, n_train: int, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """The training draw of :meth:`train_test` (stream ``seed*2+1``)."""
+        return self.sample(n_train, stream_seed=seed * 2 + 1)
+
+    def test_split(self, n_test: int, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """The test draw of :meth:`train_test` (stream ``seed*2+2``).
+
+        Its stream is independent of the training stream, so a caller
+        that needs only test images draws only them.
+        """
+        return self.sample(n_test, stream_seed=seed * 2 + 2)
+
     def train_test(
         self, n_train: int, n_test: int, seed: int = 0
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Disjoint train/test draws: ``(x_train, y_train, x_test, y_test)``."""
-        x_train, y_train = self.sample(n_train, stream_seed=seed * 2 + 1)
-        x_test, y_test = self.sample(n_test, stream_seed=seed * 2 + 2)
-        return x_train, y_train, x_test, y_test
+        return self.train_split(n_train, seed) + self.test_split(n_test, seed)
 
 
 #: Named dataset specs mirroring the paper's three benchmarks.

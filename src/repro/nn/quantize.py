@@ -62,6 +62,12 @@ from .models import ClassifierNetwork
 #: Injection hook signature: (integer accumulators (pixels, K), layer) -> modified.
 Injector = Callable[[np.ndarray, "QuantizedConv"], np.ndarray]
 
+#: Version of the calibration observations stored beside trained
+#: parameters (:meth:`QuantizedNetwork.calibration`).  Bump it when the
+#: float calibration pass or the statistics it observes change: stored
+#: observations of another version are then recomputed, not restored.
+CALIBRATION_VERSION = 1
+
 #: A diverged trial class that has absorbed more flips than this skips
 #: the masked-trial compare at layer checkpoints: full-tensor equality
 #: is all but impossible there, and the compare costs a tensor scan.
@@ -146,7 +152,8 @@ class QuantizedConv:
 
     Lifecycle: constructed un-calibrated (``in_scale is None``) — forward
     then runs in float and records the input range; after
-    :meth:`finalize_calibration` the forward path is the integer GEMM.
+    :meth:`finalize_calibration` (or :meth:`restore_observations` of a
+    stored range) the forward path is the integer GEMM.
 
     Attributes
     ----------
@@ -418,6 +425,15 @@ class QuantizedConv:
             )
         self.in_scale = self._observed_max / ((1 << self.act_bits) - 1)
 
+    def observations(self) -> Tuple[float, ...]:
+        """What the float calibration pass observed: the input maximum."""
+        return (self._observed_max,)
+
+    def restore_observations(self, values: Sequence[float]) -> None:
+        """Fix the scale from stored :meth:`observations`, with no float pass."""
+        (self._observed_max,) = map(float, values)
+        self.finalize_calibration()
+
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
         """uint8-quantize a (non-negative) activation tensor."""
         if self.in_scale is None:
@@ -546,6 +562,22 @@ def _linear_to_qconv(linear: Linear, n_bits: int = 8) -> QuantizedConv:
         act_bits=n_bits,
         weight_bits=n_bits,
     )
+
+
+def _observations(ops: Sequence[object]) -> Dict[str, np.ndarray]:
+    """``{op name: float64 observations}`` of calibrated GEMM ops."""
+    if any(op.in_scale is None for op in ops):
+        raise QuantizationError("call calibrate(batch) before reading the calibration")
+    return {op.name: np.array(op.observations(), dtype=np.float64) for op in ops}
+
+
+def _restore_observations(ops: Sequence[object], observations: Dict[str, np.ndarray]) -> None:
+    """Restore every op from ``observations``, which must name them all."""
+    missing = sorted(op.name for op in ops if op.name not in observations)
+    if missing:
+        raise QuantizationError(f"stored calibration lacks GEMM op(s) {missing}")
+    for op in ops:
+        op.restore_observations(observations[op.name])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -794,6 +826,19 @@ class QuantizedNetwork:
         self._forward_features(x)
         for qc in self.qconvs(include_shortcuts=True):
             qc.finalize_calibration()
+        self._calibrated = True
+
+    def calibration(self) -> Dict[str, np.ndarray]:
+        """Every conv's calibration observations, shortcuts included.
+
+        They come from the float pass, so they do not depend on the bit
+        widths: one set restores every precision variant of the network.
+        """
+        return _observations(self.qconvs(include_shortcuts=True))
+
+    def restore_calibration(self, observations: Dict[str, np.ndarray]) -> None:
+        """Calibrate from stored :meth:`calibration` output, with no forward pass."""
+        _restore_observations(self.qconvs(include_shortcuts=True), observations)
         self._calibrated = True
 
     def set_injector(self, injector: Optional[Injector]) -> None:
@@ -1339,6 +1384,15 @@ class QuantizedMatmul:
         self.act_signed = self._observed_min < 0.0
         self.in_scale = self._observed_max / self._act_q_max()
 
+    def observations(self) -> Tuple[float, ...]:
+        """What the float calibration pass observed: ``(max |x|, min x)``."""
+        return (self._observed_max, self._observed_min)
+
+    def restore_observations(self, values: Sequence[float]) -> None:
+        """Fix scale and signedness from stored :meth:`observations`."""
+        self._observed_max, self._observed_min = map(float, values)
+        self.finalize_calibration()
+
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
         if self.in_scale is None:
             raise QuantizationError(f"matmul {self.name} is not calibrated")
@@ -1450,6 +1504,18 @@ class QuantizedDynamicMatmul:
         self.b_signed = self._b_min < 0.0
         self.a_scale = self._a_max / self._q_max(self.a_signed)
         self.b_scale = self._b_max / self._q_max(self.b_signed)
+
+    def observations(self) -> Tuple[float, ...]:
+        """What the float calibration pass observed: both operands'
+        ``(max |x|, min x)`` and the reduction length K."""
+        k = float(self.n_macs_per_output)
+        return (self._a_max, self._a_min, self._b_max, self._b_min, k)
+
+    def restore_observations(self, values: Sequence[float]) -> None:
+        """Fix scales, signedness and K from stored :meth:`observations`."""
+        self._a_max, self._a_min, self._b_max, self._b_min, k = map(float, values)
+        self._k = int(k)
+        self.finalize_calibration()
 
     def _quantize(self, x: np.ndarray, scale: float, signed: bool) -> np.ndarray:
         q_max = self._q_max(signed)
@@ -1654,6 +1720,15 @@ class QuantizedTokenNetwork:
         self._forward_features(x)
         for op in self.gemm_ops():
             op.finalize_calibration()
+        self._calibrated = True
+
+    def calibration(self) -> Dict[str, np.ndarray]:
+        """Every GEMM op's calibration observations (see :meth:`QuantizedNetwork.calibration`)."""
+        return _observations(self.gemm_ops())
+
+    def restore_calibration(self, observations: Dict[str, np.ndarray]) -> None:
+        """Calibrate from stored :meth:`calibration` output, with no forward pass."""
+        _restore_observations(self.gemm_ops(), observations)
         self._calibrated = True
 
     def set_injector(self, injector: Optional[Injector]) -> None:

@@ -279,6 +279,31 @@ class TestResultCache:
         fallbacks = [w for w in caught if issubclass(w.category, MappingFallbackWarning)]
         assert len(fallbacks) == 1  # scheduler warns; backend repeat suppressed
 
+    def test_engine_leaves_the_warning_registry_alone(self, tmp_path):
+        # Under the default once-per-location filter a repeat of the same
+        # fallback shows once: running a miss must not mutate the warning
+        # filters, which would make Python forget what it has shown.
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
+        job = make_job(seed=52, k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            engine.run(job)  # miss: simulated inline
+            engine.run(job)  # hit
+        fallbacks = [w for w in caught if issubclass(w.category, MappingFallbackWarning)]
+        assert len(fallbacks) == 1
+        assert engine.stats.hits == 1
+
+    def test_cli_shows_each_distinct_warning_once(self):
+        from repro.cli import _each_warning_once
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _each_warning_once():
+                for _ in range(3):
+                    warnings.warn("first", MappingFallbackWarning)
+                    warnings.warn("second", MappingFallbackWarning)
+        assert [str(w.message) for w in caught] == ["first", "second"]
+
 
 class TestCacheReadPath:
     """One file read per cached result: each npz member is read once, and
