@@ -6,7 +6,7 @@ Measures the wall clock of a micro-scale fig10-shaped injection campaign
 
 * ``serial`` — the per-trial reference loop (the paper's protocol);
 * ``pruned`` — the ``batched`` runtime's lanes walk: stacked forward
-  plus masked-trial pruning and effective-flip dedup.
+  plus effective-flip dedup.
 
 Both produce bit-identical results (asserted), so the ratio is a pure
 runtime comparison.

@@ -15,16 +15,15 @@ Run:  REPRO_SCALE=tiny python examples/accuracy_under_pvta.py [recipe]
 
 import sys
 
-from repro.experiments import get_scale
-from repro.experiments.fig10 import measure_accuracy_grid, render_grid
+from repro.experiments import fig10, get_scale
 
 
 def main() -> None:
     recipe = sys.argv[1] if len(sys.argv) > 1 else "resnet18_cifar10"
     scale = get_scale()
     print(f"recipe: {recipe}, scale: {scale.name}\n")
-    grid = measure_accuracy_grid(recipe, scale)
-    print(render_grid(grid))
+    grid = fig10.run(scale, recipes=[recipe]).grids[0]
+    print(fig10.render_grid(grid))
 
     base = grid.accuracy["baseline"]
     ctr = grid.accuracy["cluster_then_reorder"]

@@ -16,10 +16,11 @@ the simulator implementation, ``--jobs`` fans cache-missing work out over
 worker processes, and ``--no-cache`` disables the on-disk result cache.
 
 ``read-repro all`` goes through the orchestrator
-(:func:`repro.experiments.run_all`): the full job graph of all nine
-artifacts is planned up front, deduplicated across figures, executed as
-one parallel cache-reusing sweep, and written to an artifacts directory
-with a provenance ``manifest.json`` (see ``docs/experiments.md``).
+(:func:`repro.experiments.run_all`): every figure's job batches run in
+lockstep rounds, each round deduplicated across figures and executed as
+one parallel cache-reusing sweep, and the renderings are written to an
+artifacts directory with a provenance ``manifest.json`` (see
+``docs/experiments.md``).
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run one named scenario suite as a single orchestrated engine sweep: "
             "every scenario's layer-TER jobs (per conv group, classifier head "
-            "included) and injection campaigns are planned up front, "
-            "deduplicated, and executed through the shared cache and process "
+            "included), then the injection campaigns built from them, are "
+            "deduplicated and executed through the shared cache and process "
             "pool.  Suites: " + ", ".join(suite_names()) + "."
         ),
         epilog="example: read-repro sweep --suite mobile --scale micro --jobs 4",
@@ -397,10 +398,12 @@ def run_one(name: str, scale_name: Optional[str]) -> str:
 
 
 def _print_engine_summary(engine) -> None:
-    # effective_backend() reports what actually simulated — with
-    # $REPRO_ENGINE_SOCKET set, that is the daemon's backend.
+    # Name only the backends that actually simulated — with
+    # $REPRO_ENGINE_SOCKET set, that is the daemon's backend — so a
+    # fully warm run names none.
+    used = "+".join(sorted(engine.used_backends))
     print(
-        f"engine[{engine.effective_backend()}, jobs={engine.jobs}, "
+        f"engine[{used + ', ' if used else ''}jobs={engine.jobs}, "
         f"cache={'on' if engine.cache is not None else 'off'}]: "
         f"{engine.stats.describe()}"
     )

@@ -43,29 +43,22 @@ the cache is additionally concurrency-safe:
   holding it) and optionally enforces a size-bounded LRU eviction policy
   (recency = entry mtime, refreshed on every cache hit).
 
-Reads are cheap on the warm path a whole ``read-repro all`` takes:
-
-* **one read per entry** — :func:`read_npz` pulls every member of an
-  entry out of the archive exactly once (each lazy ``NpzFile`` index is
-  a zip open plus a ``.npy`` header parse) and hands the job's
-  deserializer a plain dict; the daemon's result frames decode through
-  the same helper;
-* **a decoded-result memo** — repeat loads of one key in one process
-  (fig2/7/8/10/11 share most layer measurements) return the object the
-  first load decoded.  The memo is an LRU bounded by
-  :data:`_MEMO_MAX_BYTES` of decoded payload, guarded by a lock (the
-  daemon's cache verbs run on other threads than its engine calls), and
-  emptied by :meth:`ResultCache.clear` and :meth:`ResultCache.gc`.
-  Decoded arrays are read-only, because every hit shares them.
+Reads go through one decode path: :func:`read_npz` pulls every member
+of an entry out of the archive exactly once (each lazy ``NpzFile`` index
+is a zip open plus a ``.npy`` header parse) and hands the job's
+deserializer a plain dict; the daemon's result frames decode through the
+same helper.  Nothing is memoized in memory: the experiment drivers
+submit each unique job once per process (see
+:func:`repro.experiments.orchestrator.lockstep`), so every load reads
+its file once.  Decoded arrays are read-only, because within-batch
+deduplication shares one decoded result between same-key jobs.
 """
 
 from __future__ import annotations
 
 import fcntl
 import os
-import threading
 import zipfile
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -102,12 +95,6 @@ _DECODE_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError)
 #: globs and to the ``.*.tmp`` orphan sweep).
 _LOCK_FILE = ".lock"
 
-#: Bound on the decoded payload bytes one :class:`ResultCache` keeps in
-#: its in-process memo (LRU beyond it).  A warm ``all --scale micro``
-#: decodes about 1 MB; the bound keeps a long-lived daemon from growing
-#: without limit.
-_MEMO_MAX_BYTES = 1 << 26  # 64 MB
-
 
 def read_npz(source: Union[str, Path, BinaryIO]) -> Dict[str, np.ndarray]:
     """Every member of an ``.npz`` archive, each read once, read-only.
@@ -115,8 +102,8 @@ def read_npz(source: Union[str, Path, BinaryIO]) -> Dict[str, np.ndarray]:
     The one decode path of cached results: :meth:`ResultCache.load` and
     the daemon's :func:`~repro.engine.protocol.decode_result` both hand
     the job's ``deserialize_result`` the dict this returns.  The arrays
-    are marked read-only because decoded results are shared (memo hits,
-    within-batch dedup).
+    are marked read-only because decoded results are shared (within-batch
+    dedup).
     """
     with np.load(source, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
@@ -188,10 +175,6 @@ class ResultCache:
         base = Path(root) if root is not None else cache_root()
         self.root = base / "sim-results"
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Decoded results by ``(key, kind)``: ``(result, payload bytes)``.
-        self._memo: "OrderedDict[Tuple[str, str], Tuple[object, int]]" = OrderedDict()
-        self._memo_bytes = 0
-        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def path_for(self, key: str) -> Path:
@@ -250,16 +233,8 @@ class ResultCache:
         deleted and treated as misses; other errors raised while
         decoding propagate and leave the entry in place.  A successful
         read refreshes the entry's mtime — the recency signal ``gc``'s
-        LRU eviction sorts by — and memoizes the decoded result, so
-        later loads of the same key in this process return it without
-        touching the file.
+        LRU eviction sorts by.
         """
-        memo_key = (key, job.kind)
-        with self._memo_lock:
-            hit = self._memo.get(memo_key)
-            if hit is not None:
-                self._memo.move_to_end(memo_key)
-                return hit[0]
         path = self.path_for(key)
         try:
             handle = open(path, "rb")
@@ -281,30 +256,7 @@ class ResultCache:
             os.utime(path)  # LRU touch; racing with eviction is benign
         except OSError:
             pass
-        self._memoize(memo_key, result, sum(a.nbytes for a in arrays.values()))
         return result
-
-    def _memoize(self, memo_key: Tuple[str, str], result: object, nbytes: int) -> None:
-        """Remember one decoded result, evicting least recently used ones.
-
-        An entry larger than the whole bound is not kept.
-        """
-        if nbytes > _MEMO_MAX_BYTES:
-            return
-        with self._memo_lock:
-            previous = self._memo.pop(memo_key, None)
-            if previous is not None:
-                self._memo_bytes -= previous[1]
-            self._memo[memo_key] = (result, nbytes)
-            self._memo_bytes += nbytes
-            while self._memo_bytes > _MEMO_MAX_BYTES:
-                _, (_, evicted) = self._memo.popitem(last=False)
-                self._memo_bytes -= evicted
-
-    def _forget_all(self) -> None:
-        with self._memo_lock:
-            self._memo.clear()
-            self._memo_bytes = 0
 
     def _discard_corrupt(self, path: Path, read_stat: os.stat_result) -> None:
         """Delete a corrupt entry — unless a writer already replaced it.
@@ -353,10 +305,8 @@ class ResultCache:
 
         Safe under concurrent writers: each shard is cleared under its
         lock, and entries that vanish mid-walk (another ``clear``, an
-        eviction) are skipped, never raised on.  The decoded-result memo
-        is emptied too.
+        eviction) are skipped, never raised on.
         """
-        self._forget_all()
         removed = 0
         for shard in self._shards():
             with self._shard_lock(shard):
@@ -397,11 +347,7 @@ class ResultCache:
           refreshes mtime on every hit, so recency tracks use, not
           creation.  Evicting a live entry only ever costs a
           re-simulation.
-
-        The decoded-result memo is emptied, so no evicted entry is
-        served from memory afterwards.
         """
-        self._forget_all()
         if max_bytes is None:
             raw = os.environ.get(CACHE_MAX_BYTES_ENV_VAR)
             max_bytes = parse_byte_count(raw) if raw else None

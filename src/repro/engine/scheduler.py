@@ -88,7 +88,7 @@ def _execute_job(factory: Callable[[], SimulationBackend], job: EngineJob):
     job (mirroring ``SimJob.build_plan``'s plan memo).
 
     Returns ``(result, counters)``: the runtime work-avoidance counters
-    (pruned/deduped trials, arena traffic) accumulated in this worker
+    (deduped trials, arena traffic) accumulated in this worker
     while the job ran travel home with the result and fold into the
     submitting engine's :class:`EngineMetrics`.  The submitting process
     already diagnosed the job, so the planner does not repeat the
@@ -174,8 +174,9 @@ class EngineMetrics:
     requests: int = 0
     #: Wall-clock seconds spent in those requests, cumulatively.
     latency_seconds: float = 0.0
-    #: Injection trials whose masked faults exited the stacked forward
-    #: early (the pruning runtime's per-checkpoint events).
+    #: Always 0: the lanes walk no longer prunes masked trials.  Kept so
+    #: the summary's ``N trial(s) pruned, M deduped`` text, which
+    #: benchmark tooling parses, keeps its shape.
     trials_pruned: int = 0
     #: Injection trials whose flip draws collapsed onto an
     #: already-evaluated representative (zero-flip or duplicate draws).

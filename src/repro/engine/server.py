@@ -335,7 +335,7 @@ class EngineServer:
 
     def _run_counted(self, fn):
         """Run one engine call under the run lock, capturing the runtime
-        work-avoidance counters (pruned/deduped trials, arena traffic)
+        work-avoidance counters (deduped trials, arena traffic)
         it accumulated — the per-request delta the job-outcome counters
         in ``_handle_batch``/``_handle_stream`` cannot see, because the
         engine folds them straight into its lifetime stats."""

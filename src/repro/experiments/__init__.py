@@ -2,7 +2,9 @@
 
 Every runner exposes ``run(...) -> result`` and ``render(result) -> str``;
 the CLI (``python -m repro``) and the benchmark suite are thin wrappers
-around these.
+around these.  Runners that use the engine also expose
+``steps(scale, ...)``, the one generator that yields their job batches
+and returns their result (``run`` is ``drive(steps(...))``).
 """
 
 from . import fig2, fig3, fig5, fig7, fig8, fig9, fig10, fig11, table1
@@ -22,7 +24,9 @@ from .common import (
 )
 
 #: Registry used by the CLI and the orchestrator: name -> module with
-#: run()/render()/main() and plan()/plan_injections() job builders.
+#: run()/render()/main(), plus the steps() job-batch generator for the
+#: runners that use the engine (the orchestrator drives those in
+#: lockstep and calls run() for the rest).
 RUNNERS = {
     "table1": table1,
     "fig2": fig2,

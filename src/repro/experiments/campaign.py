@@ -58,8 +58,15 @@ from ..faults import (
 )
 from ..faults.injection_job import injection_runtime
 from ..hw.variations import PAPER_CORNERS, PvtaCondition
-from .common import ALL_STRATEGIES, ExperimentScale, get_bundle, get_scale, render_table
-from .fig10 import injection_jobs_for_grid
+from .common import (
+    ALL_STRATEGIES,
+    ExperimentScale,
+    bundle_ter_batch,
+    get_bundle,
+    get_scale,
+    render_table,
+)
+from .fig10 import grid_injection_jobs
 
 #: Campaign manifest layout version.
 CAMPAIGN_SCHEMA = 1
@@ -209,13 +216,15 @@ def run_campaign(
     baseline_stats = engine.stats.snapshot()
 
     with engine_context(engine):
-        jobs = injection_jobs_for_grid(
-            recipe,
-            scale,
-            corners=corners,
-            strategies=strategies,
+        bundle = get_bundle(recipe, scale)
+        ters = bundle_ter_batch(bundle, corners, strategies)
+        jobs = grid_injection_jobs(
+            bundle,
+            ters.records(engine.run_many(ters.jobs)),
+            corners,
+            strategies,
+            label_prefix=f"campaign:{recipe}:",
             topk=topk,
-            figure="campaign",
             n_trials=max_trials,
         )
         cells = [
@@ -225,7 +234,6 @@ def run_campaign(
 
         # Fault-free baseline: clean top-k accuracy of the injected
         # slice, the anchor every cell's interval is compared against.
-        bundle = get_bundle(recipe, scale)
         n_base = scale.inject_n
         base_acc = bundle.qnet.evaluate(
             bundle.x_test[:n_base], bundle.y_test[:n_base], topk=topk

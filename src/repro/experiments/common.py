@@ -9,12 +9,16 @@
   calibrated quantized network and the evaluation data.  The on-disk
   state holds the trained parameters and the quantizer's calibration
   observations, so a reload runs no forward pass.
-* :func:`measure_layer_ters` — the central measurement: replay each conv
+* :func:`layer_ter_batch` — the central measurement: replay each GEMM
   layer's real quantized operand stream through the systolic-array DTA
-  under every requested strategy and PVTA corner.  The measurement is
-  expressed as a batch of :class:`~repro.engine.SimJob` specs submitted
-  through the simulation engine, so every runner transparently gets
-  backend selection, multi-process fan-out and on-disk result caching.
+  under every requested strategy and PVTA corner.  It is a batch of
+  :class:`~repro.engine.SimJob` specs plus the rule that folds their
+  reports back into per-layer records, so every runner transparently
+  gets backend selection, multi-process fan-out and on-disk result
+  caching.  :func:`measure_layer_ters` submits one such batch in a call.
+* :func:`drive` — runs a runner's ``steps`` generator: each runner that
+  uses the engine yields its job batches from one generator and returns
+  its result, and ``run(...)`` is ``drive(steps(...))``.
 * small text-table rendering used by all runners and the CLI.
 """
 
@@ -24,7 +28,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from ..arch import AcceleratorConfig, sample_pixel_rows
 from ..core import MappingStrategy
 from ..core.pipeline import plan_layer
 from ..core.signflip import paper_sign
-from ..engine import NetworkJob, SimEngine, SimJob, cache_root, default_engine
+from ..engine import EngineJob, SimEngine, SimJob, cache_root, default_engine
 from ..errors import ConfigurationError
 from ..hw.variations import PvtaCondition
 from ..nn.datasets import load_dataset
@@ -440,9 +444,10 @@ def gemm_sim_units(
     """The per-strategy simulation units of one GEMM op.
 
     The single source of truth for how a GEMM decomposes into SimJobs:
-    :func:`layer_ter_jobs` emits one job per (strategy, unit) and
-    :func:`measure_layer_ters` re-assembles reports by the same unit
-    count, so emission and reassembly can never drift apart.
+    :func:`layer_ter_batch` emits one job per (strategy, unit) and
+    records each op's unit count, by which :meth:`LayerTerBatch.records`
+    re-assembles the reports, so emission and reassembly can never
+    drift apart.
     """
     if isinstance(op, QuantizedDynamicMatmul):
         a_q, b_q = streams[op.name]
@@ -477,7 +482,34 @@ def gemm_sim_units(
     ]
 
 
-def layer_ter_jobs(
+@dataclass(frozen=True)
+class LayerTerBatch:
+    """One network's layer-TER jobs and the rule that folds their reports.
+
+    ``units`` holds each GEMM op's name and how many simulation units
+    (see :func:`gemm_sim_units`) it contributes per strategy, in
+    execution order, so :meth:`records` re-assembles the reports by the
+    very counts :func:`layer_ter_batch` emitted the jobs with.
+    """
+
+    jobs: List[SimJob]
+    units: Tuple[Tuple[str, int], ...]
+    strategies: Tuple[MappingStrategy, ...]
+
+    def records(self, reports: Sequence[Dict[str, object]]) -> Dict[str, List[LayerTerRecord]]:
+        """``{strategy_value: [LayerTerRecord per GEMM in order]}`` from the jobs' reports."""
+        records: Dict[str, List[LayerTerRecord]] = {s.value: [] for s in self.strategies}
+        report_iter = iter(reports)
+        for name, n_units in self.units:
+            for strategy in self.strategies:
+                per_group = [next(report_iter) for _ in range(n_units)]
+                records[strategy.value].append(
+                    aggregate_group_reports(name, strategy, per_group)
+                )
+        return records
+
+
+def layer_ter_batch(
     qnet: QuantizedNetwork,
     streams: Dict[str, object],
     corners: Sequence[PvtaCondition],
@@ -487,7 +519,7 @@ def layer_ter_jobs(
     max_pixels: int = 48,
     seed: int = 0,
     label_prefix: str = "",
-) -> List[SimJob]:
+) -> LayerTerBatch:
     """Build the (GEMM x strategy x unit) job batch for one network.
 
     Job order is GEMM-major (execution order), then strategy, then unit
@@ -495,17 +527,19 @@ def layer_ter_jobs(
     strategy; a grouped/depthwise layer one job per independent group
     GEMM over its operand-column slice; a dynamic matmul one job per
     sampled operand instance — see :func:`gemm_sim_units`), matching how
-    :func:`measure_layer_ters` re-assembles records.  Every runner that
-    measures layer TERs goes through this builder so identical
+    :meth:`LayerTerBatch.records` re-assembles records.  Every runner
+    that measures layer TERs goes through this builder so identical
     measurements hash to identical cache keys across figures.
     """
     config = config or AcceleratorConfig()
     group_size = group_size or config.cols
     jobs: List[SimJob] = []
+    units: List[Tuple[str, int]] = []
     for op in qnet.gemm_ops():
-        units = gemm_sim_units(op, streams, config, max_pixels=max_pixels, seed=seed)
+        op_units = gemm_sim_units(op, streams, config, max_pixels=max_pixels, seed=seed)
+        units.append((op.name, len(op_units)))
         for strategy in strategies:
-            for unit in units:
+            for unit in op_units:
                 jobs.append(
                     SimJob(
                         acts=unit.acts,
@@ -518,7 +552,29 @@ def layer_ter_jobs(
                         label=f"{label_prefix}{op.name}{unit.suffix}:{strategy.value}",
                     )
                 )
-    return jobs
+    return LayerTerBatch(jobs=jobs, units=tuple(units), strategies=tuple(strategies))
+
+
+def bundle_ter_batch(
+    bundle: TrainedBundle,
+    corners: Sequence[PvtaCondition],
+    strategies: Sequence[MappingStrategy] = ALL_STRATEGIES,
+    config: Optional[AcceleratorConfig] = None,
+    seed: int = 0,
+    label_prefix: str = "",
+) -> LayerTerBatch:
+    """:func:`layer_ter_batch` over a bundle's shared streams, sized by its scale."""
+    scale = bundle.scale
+    return layer_ter_batch(
+        bundle.qnet,
+        bundle.operand_streams(scale.ter_images),
+        corners,
+        strategies=strategies,
+        config=config,
+        max_pixels=scale.ter_pixels,
+        seed=seed,
+        label_prefix=label_prefix,
+    )
 
 
 def aggregate_group_reports(
@@ -585,7 +641,7 @@ def measure_layer_ters(
     engine: Optional[SimEngine] = None,
     streams: Optional[Dict[str, object]] = None,
 ) -> Dict[str, List[LayerTerRecord]]:
-    """Measure every GEMM op's TER under each strategy and corner.
+    """Measure every GEMM op's TER under each strategy and corner, in one call.
 
     Returns ``{strategy_value: [LayerTerRecord per GEMM in order]}``.
     The activation streams are the *real* quantized intermediate tensors
@@ -595,15 +651,15 @@ def measure_layer_ters(
     :meth:`TrainedBundle.operand_streams`) can pass its streams in via
     ``streams`` to skip the re-recording.
 
-    The (layer x strategy) measurements are one engine batch: with
-    ``engine`` unset the process default (CLI ``--backend/--jobs``,
-    ``REPRO_*`` environment) applies, repeated sweeps hit the on-disk
-    result cache, and all corners share one simulation pass per job.
+    The :func:`layer_ter_batch` is one ``run_many`` call: with ``engine``
+    unset the process default (CLI ``--backend/--jobs``, ``REPRO_*``
+    environment) applies, repeated sweeps hit the on-disk result cache,
+    all corners share one simulation pass per job, and the cache-missing
+    jobs fold through the backend's whole-network path together.
     """
-    engine = engine or default_engine()
     if streams is None:
         streams = record_operand_streams(qnet, x_images)
-    jobs = layer_ter_jobs(
+    batch = layer_ter_batch(
         qnet,
         streams,
         corners,
@@ -613,25 +669,7 @@ def measure_layer_ters(
         max_pixels=max_pixels,
         seed=seed,
     )
-    # One stacked submission: the whole (layer x strategy x group) batch
-    # travels as a single NetworkJob, so the vector backend folds every
-    # equal-shape width class across layers in one pass.  The scheduler
-    # expands it back into per-SimJob cache entries (see
-    # SimEngine.run_many), so warm sweeps and per-layer callers are
-    # unaffected.
-    all_reports = engine.run_many([NetworkJob(jobs=tuple(jobs), label="layer-ters")])[0]
-
-    config = config or AcceleratorConfig()
-    results: Dict[str, List[LayerTerRecord]] = {s.value: [] for s in strategies}
-    report_iter = iter(all_reports)
-    for op in qnet.gemm_ops():
-        n_units = len(gemm_sim_units(op, streams, config, max_pixels=max_pixels, seed=seed))
-        for strategy in strategies:
-            per_group = [next(report_iter) for _ in range(n_units)]
-            results[strategy.value].append(
-                aggregate_group_reports(op.name, strategy, per_group)
-            )
-    return results
+    return batch.records((engine or default_engine()).run_many(batch.jobs))
 
 
 def ters_for_corner(
@@ -645,6 +683,53 @@ def macs_per_layer(records: Dict[str, List[LayerTerRecord]]) -> Dict[str, int]:
     """Extract ``{layer: N}`` (Eq. 1 MAC counts) from a measurement."""
     first = next(iter(records.values()))
     return {r.layer: r.n_macs_per_output for r in first}
+
+
+def split_results(
+    results: Sequence[object], batches: Sequence[Sequence[object]]
+) -> List[List[object]]:
+    """Cut one flat result list into consecutive slices, one per batch."""
+    slices: List[List[object]] = []
+    start = 0
+    for batch in batches:
+        slices.append(list(results[start : start + len(batch)]))
+        start += len(batch)
+    return slices
+
+
+# ---------------------------------------------------------------------- #
+# Runner steps
+# ---------------------------------------------------------------------- #
+#: A runner's ``steps(...)`` generator: it yields batches of engine jobs,
+#: is sent each batch's results in order, and returns the runner's
+#: result.  :func:`drive` runs one generator; the orchestrator's
+#: lockstep driver runs several at once.
+Steps = Generator[List[EngineJob], List[object], Any]
+
+
+def layer_ter_steps(batches: Sequence[LayerTerBatch]) -> Steps:
+    """Yield several networks' layer-TER jobs as one batch; return their records.
+
+    One ``{strategy_value: [LayerTerRecord per GEMM]}`` per batch, in
+    order.  Callers pass the batches in directly, so the jobs and their
+    reports are freed once the records are built, before the runner's
+    next batch runs.
+    """
+    reports = yield [job for batch in batches for job in batch.jobs]
+    parts = split_results(reports, [batch.jobs for batch in batches])
+    return [batch.records(part) for batch, part in zip(batches, parts)]
+
+
+def drive(steps: Steps, engine: Optional[SimEngine] = None) -> Any:
+    """Run one ``steps`` generator to its result: one ``run_many`` per batch."""
+    engine = engine or default_engine()
+    results: Optional[List[object]] = None
+    while True:
+        try:
+            batch = steps.send(results)
+        except StopIteration as done:
+            return done.value
+        results = engine.run_many(batch)
 
 
 # ---------------------------------------------------------------------- #
@@ -696,7 +781,7 @@ def gemm_reorder_applicability(
     """Per-GEMM READ-reorder applicability verdicts for one network.
 
     Runs :func:`reorder_applicability` over exactly the operand units
-    that :func:`layer_ter_jobs` simulates, folding multi-unit ops
+    that :func:`layer_ter_batch` simulates, folding multi-unit ops
     (grouped convs, dynamic-matmul instances) into one verdict per GEMM.
     Recorded in sweep manifests so reviewers can see *where* the paper's
     invariant stops holding (signed attention operands) without rerunning.

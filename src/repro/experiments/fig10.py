@@ -7,11 +7,12 @@ baseline collapses under aging (especially combined with VT fluctuation)
 while reorder and cluster-then-reorder retain accuracy over the whole
 range.
 
-Both stages are engine workloads: the layer TERs are a
-:class:`~repro.engine.SimJob` batch and every (strategy, corner) cell of
-the accuracy grid is one :class:`~repro.faults.InjectionJob`, so the
-whole figure — simulation and injection — runs as two cached, parallel
-``run_many`` submissions with no bespoke loops.  Injection cells execute
+Both stages are engine workloads: :func:`steps` yields the layer TERs
+as one :class:`~repro.engine.SimJob` batch, then, built from those very
+reports, one :class:`~repro.faults.InjectionJob` per (strategy, corner)
+cell of the accuracy grid, so the whole figure — simulation and
+injection — runs as two cached, parallel ``run_many`` submissions with
+no bespoke loops and measures each TER once.  Injection cells execute
 on the trial-batched runtime by default (one stacked forward per cell,
 the grid sharing one fault-free operand pass per network;
 ``--injection-runtime serial`` / ``$REPRO_INJECTION_RUNTIME`` fall back
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import MappingStrategy
-from ..engine import EngineJob, default_engine
 from ..faults import (
     CellAggregate,
     InjectionJob,
@@ -38,12 +38,17 @@ from ..hw.variations import PAPER_CORNERS, PvtaCondition
 from .common import (
     ALL_STRATEGIES,
     ExperimentScale,
+    LayerTerRecord,
+    Steps,
+    TrainedBundle,
+    bundle_ter_batch,
+    drive,
     get_bundle,
     get_scale,
-    layer_ter_jobs,
+    layer_ter_steps,
     macs_per_layer,
-    measure_layer_ters,
     render_table,
+    split_results,
     ters_for_corner,
 )
 
@@ -79,81 +84,58 @@ def corner_seed(corner: PvtaCondition) -> int:
     return sum(ord(ch) for ch in corner.name) % 10000
 
 
-def injection_jobs_for_grid(
-    recipe: str,
-    scale: ExperimentScale,
-    corners: Sequence[PvtaCondition] = PAPER_CORNERS,
-    strategies: Sequence[MappingStrategy] = ALL_STRATEGIES,
+def grid_injection_jobs(
+    bundle: TrainedBundle,
+    records: Dict[str, List[LayerTerRecord]],
+    corners: Sequence[PvtaCondition],
+    strategies: Sequence[MappingStrategy],
+    label_prefix: str,
     topk: int = 1,
     only_layers: Optional[Sequence[str]] = None,
-    figure: str = "fig10",
     n_trials: Optional[int] = None,
 ) -> List[InjectionJob]:
     """One :class:`InjectionJob` per (strategy, corner) cell of a grid.
 
-    Derives the BER tables from the layer-TER measurement (an engine
-    batch itself, so warm runs only touch the cache), in strategy-major
-    order matching :func:`measure_accuracy_grid`'s assembly.
-    ``n_trials`` overrides the scale's trial count (the campaign runner
-    passes its ``--max-trials`` budget here).
+    Eq. 1 turns the network's layer-TER ``records`` at each corner into
+    the cell's BER table; cells come strategy-major, as
+    :func:`accuracy_grid` reads them.  The one builder of accuracy-grid
+    campaigns: Figs. 10 and 11, ``read-repro campaign`` (which passes
+    its ``--max-trials`` budget as ``n_trials``) and ``read-repro
+    sweep`` all go through it.
     """
-    bundle = get_bundle(recipe, scale)
-    records = measure_layer_ters(
-        bundle.qnet,
-        bundle.x_test[: scale.ter_images],
-        corners=list(corners),
-        strategies=strategies,
-        max_pixels=scale.ter_pixels,
-        streams=bundle.operand_streams(scale.ter_images),
-    )
     n_macs = macs_per_layer(records)
-    jobs: List[InjectionJob] = []
-    for strategy in strategies:
-        for corner in corners:
-            ters = ters_for_corner(records, strategy, corner.name)
-            bers = bers_from_layer_ters(ters, n_macs, only_layers=only_layers)
-            jobs.append(
-                injection_job_for_bundle(
-                    bundle,
-                    bers,
-                    n_trials=n_trials,
-                    topk=topk,
-                    base_seed=corner_seed(corner),
-                    corner=corner.name,
-                    label=f"{figure}:{recipe}:{strategy.value}:{corner.name}",
-                )
-            )
-    return jobs
+    return [
+        injection_job_for_bundle(
+            bundle,
+            bers_from_layer_ters(
+                ters_for_corner(records, strategy, corner.name),
+                n_macs,
+                only_layers=only_layers,
+            ),
+            n_trials=n_trials,
+            topk=topk,
+            base_seed=corner_seed(corner),
+            corner=corner.name,
+            label=f"{label_prefix}{strategy.value}:{corner.name}",
+        )
+        for strategy in strategies
+        for corner in corners
+    ]
 
 
-def measure_accuracy_grid(
-    recipe: str,
-    scale: ExperimentScale,
-    corners: Sequence[PvtaCondition] = PAPER_CORNERS,
-    strategies: Sequence[MappingStrategy] = ALL_STRATEGIES,
-    topk: int = 1,
-    only_layers: Optional[Sequence[str]] = None,
-    figure: str = "fig10",
+def accuracy_grid(
+    bundle: TrainedBundle,
+    jobs: Sequence[InjectionJob],
+    results: Sequence[object],
+    topk: int,
 ) -> AccuracyGrid:
-    """Accuracy grid of one network (shared with Fig. 11).
-
-    All (strategy, corner) campaigns go out as one engine batch: the
-    *Ideal* columns of the three strategies deduplicate to a single job
-    (their BER tables are identically zero), and ``--jobs N`` fans the
-    rest over worker processes.
-    """
-    bundle = get_bundle(recipe, scale)
-    jobs = injection_jobs_for_grid(
-        recipe, scale, corners, strategies, topk, only_layers, figure
-    )
-    results = default_engine().run_many(jobs)
-
-    accuracy: Dict[str, List[float]] = {s.value: [] for s in strategies}
-    mean_ber: Dict[str, List[float]] = {s.value: [] for s in strategies}
-    ci: Dict[str, List[Tuple[float, float]]] = {s.value: [] for s in strategies}
+    """Assemble one network's grid from its :func:`grid_injection_jobs` results."""
+    accuracy: Dict[str, List[float]] = {s.value: [] for s in ALL_STRATEGIES}
+    mean_ber: Dict[str, List[float]] = {s.value: [] for s in ALL_STRATEGIES}
+    ci: Dict[str, List[Tuple[float, float]]] = {s.value: [] for s in ALL_STRATEGIES}
     job_iter = iter(zip(jobs, results))
-    for strategy in strategies:
-        for _corner in corners:
+    for strategy in ALL_STRATEGIES:
+        for _corner in PAPER_CORNERS:
             job, result = next(job_iter)
             table = job.ber_table()
             accuracy[strategy.value].append(result.mean_accuracy)
@@ -165,8 +147,8 @@ def measure_accuracy_grid(
             # would report for it.
             ci[strategy.value].append(CellAggregate.from_result(result).wilson_ci())
     return AccuracyGrid(
-        recipe=recipe,
-        corners=[c.name for c in corners],
+        recipe=bundle.recipe,
+        corners=[c.name for c in PAPER_CORNERS],
         accuracy=accuracy,
         mean_ber=mean_ber,
         clean_accuracy=bundle.quant_accuracy,
@@ -175,39 +157,54 @@ def measure_accuracy_grid(
     )
 
 
-def plan(
-    scale: Optional[ExperimentScale] = None,
-    recipes: Optional[List[str]] = None,
-) -> List[EngineJob]:
-    """Phase-1 engine jobs: the layer-TER measurements of both networks."""
-    scale = scale or get_scale()
-    jobs: List[EngineJob] = []
-    for recipe in recipes or DEFAULT_RECIPES:
-        bundle = get_bundle(recipe, scale)
-        streams = bundle.operand_streams(scale.ter_images)
-        jobs.extend(
-            layer_ter_jobs(
-                bundle.qnet,
-                streams,
-                PAPER_CORNERS,
-                strategies=ALL_STRATEGIES,
-                max_pixels=scale.ter_pixels,
-                label_prefix=f"fig10:{recipe}:",
-            )
+def grid_steps(
+    scale: ExperimentScale,
+    recipes: Sequence[str],
+    figure: str,
+    topk: int = 1,
+    only_layers: Optional[Dict[str, Sequence[str]]] = None,
+) -> Steps:
+    """Yield the networks' layer-TER batch, then their campaigns; return the grids.
+
+    Shared with Fig. 11.  The first batch holds every network's
+    layer-TER jobs (per recipe, layer-major); the second, built from
+    those very reports, one injection campaign per (network, strategy,
+    corner) cell, which ``--jobs N`` fans over worker processes.
+    ``only_layers`` maps a recipe to the layers its campaigns inject.
+    """
+    bundles = [get_bundle(recipe, scale) for recipe in recipes]
+    all_records = yield from layer_ter_steps(
+        [
+            bundle_ter_batch(bundle, PAPER_CORNERS, label_prefix=f"{figure}:{bundle.recipe}:")
+            for bundle in bundles
+        ]
+    )
+    cells = [
+        grid_injection_jobs(
+            bundle,
+            records,
+            PAPER_CORNERS,
+            ALL_STRATEGIES,
+            label_prefix=f"{figure}:{bundle.recipe}:",
+            topk=topk,
+            only_layers=(only_layers or {}).get(bundle.recipe),
         )
-    return jobs
+        for bundle, records in zip(bundles, all_records)
+    ]
+    results = yield [job for jobs in cells for job in jobs]
+    return [
+        accuracy_grid(bundle, jobs, part, topk)
+        for bundle, jobs, part in zip(bundles, cells, split_results(results, cells))
+    ]
 
 
-def plan_injections(
+def steps(
     scale: Optional[ExperimentScale] = None,
     recipes: Optional[List[str]] = None,
-) -> List[EngineJob]:
-    """Phase-2 engine jobs: the injection campaigns (need phase-1 TERs)."""
-    scale = scale or get_scale()
-    jobs: List[EngineJob] = []
-    for recipe in recipes or DEFAULT_RECIPES:
-        jobs.extend(injection_jobs_for_grid(recipe, scale))
-    return jobs
+) -> Steps:
+    """Yield both networks' layer-TER batch, then their campaigns; return the result."""
+    grids = yield from grid_steps(scale or get_scale(), list(recipes or DEFAULT_RECIPES), "fig10")
+    return Fig10Result(grids=grids)
 
 
 def run(
@@ -215,10 +212,7 @@ def run(
     recipes: Optional[List[str]] = None,
 ) -> Fig10Result:
     """Fig. 10: top-1 accuracy of VGG-16 and ResNet-18 on CIFAR-10-like."""
-    scale = scale or get_scale()
-    recipes = list(recipes or DEFAULT_RECIPES)
-    grids = [measure_accuracy_grid(recipe, scale) for recipe in recipes]
-    return Fig10Result(grids=grids)
+    return drive(steps(scale, recipes))
 
 
 def render_grid(grid: AccuracyGrid) -> str:

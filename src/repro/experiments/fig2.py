@@ -22,14 +22,15 @@ from typing import List, Optional
 import numpy as np
 
 from ..arch import AcceleratorConfig, Dataflow
-from ..engine import EngineJob, default_engine
 from ..hw.variations import PAPER_CORNERS, TER_EVAL_CORNER
 from .common import (
     ALL_STRATEGIES,
     ExperimentScale,
+    Steps,
+    bundle_ter_batch,
+    drive,
     get_bundle,
     get_scale,
-    layer_ter_jobs,
     render_table,
 )
 
@@ -53,49 +54,34 @@ class Fig2Result:
     correlation: float
 
 
-def plan(scale: Optional[ExperimentScale] = None, recipe: str = "vgg16_cifar10") -> List[EngineJob]:
-    """The engine jobs this figure submits (layer-major, OS then WS).
+def steps(scale: Optional[ExperimentScale] = None, recipe: str = "vgg16_cifar10") -> Steps:
+    """Yield the scatter's one job batch (layer-major, OS then WS); return the result.
 
-    Jobs are measured at all ``PAPER_CORNERS`` even though the figure only
-    reads the evaluation corner: a multi-corner job costs one simulation
-    pass either way, and it makes the output-stationary half of this
-    batch byte-identical to the fig8/fig10 layer-TER jobs — one shared
-    cache entry instead of three.
+    Every (dataflow, layer, strategy) point is one engine job.  Jobs are
+    measured at all ``PAPER_CORNERS`` even though the figure only reads
+    the evaluation corner: a multi-corner job costs one simulation pass
+    either way, and it makes the output-stationary half of this batch
+    byte-identical to the fig8/fig10 layer-TER jobs — one shared cache
+    entry instead of three.
     """
     scale = scale or get_scale()
     bundle = get_bundle(recipe, scale)
-    streams = bundle.operand_streams(scale.ter_images)
-    jobs: List[EngineJob] = []
-    for dataflow in (Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY):
-        jobs.extend(
-            layer_ter_jobs(
-                bundle.qnet,
-                streams,
-                PAPER_CORNERS,
-                strategies=ALL_STRATEGIES,
-                config=AcceleratorConfig(dataflow=dataflow),
-                max_pixels=scale.ter_pixels,
-                label_prefix=f"fig2:{dataflow.value}:",
-            )
-        )
-    return jobs
-
-
-def run(scale: Optional[ExperimentScale] = None, recipe: str = "vgg16_cifar10") -> Fig2Result:
-    """Collect the scatter and compute the correlation.
-
-    Every (dataflow, layer, strategy) point is one engine job, so the
-    whole scatter is a single batched (and cached) engine submission.
-    """
-    scale = scale or get_scale()
-    bundle = get_bundle(recipe, scale)
-    jobs = plan(scale, recipe)
-    all_reports = default_engine().run_many(jobs)
+    dataflows = (Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY)
+    all_reports = yield [
+        job
+        for dataflow in dataflows
+        for job in bundle_ter_batch(
+            bundle,
+            PAPER_CORNERS,
+            config=AcceleratorConfig(dataflow=dataflow),
+            label_prefix=f"fig2:{dataflow.value}:",
+        ).jobs
+    ]
 
     layers = [qc.name for qc in bundle.qnet.qconvs()]
     points: List[ScatterPoint] = []
     report_iter = iter(all_reports)
-    for dataflow in (Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY):
+    for dataflow in dataflows:
         for layer in layers:
             for strategy in ALL_STRATEGIES:
                 report = next(report_iter)[TER_EVAL_CORNER.name]
@@ -109,6 +95,11 @@ def run(scale: Optional[ExperimentScale] = None, recipe: str = "vgg16_cifar10") 
                     )
                 )
     return Fig2Result(points=points, correlation=correlation(points))
+
+
+def run(scale: Optional[ExperimentScale] = None, recipe: str = "vgg16_cifar10") -> Fig2Result:
+    """Collect the scatter and compute the correlation (one engine batch)."""
+    return drive(steps(scale, recipe))
 
 
 def correlation(points: List[ScatterPoint]) -> float:

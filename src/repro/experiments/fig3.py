@@ -11,7 +11,7 @@ Example: ``read-repro fig3``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -44,11 +44,6 @@ def _demo(label: str, acts, weights) -> OrderDemo:
         final=int(psums[-1]),
         sign_flips=int(count_sign_flips(products)),
     )
-
-
-def plan(scale: Optional[object] = None) -> List[object]:
-    """No engine jobs: a pure worked example (prefix sums of 4 products)."""
-    return []
 
 
 def run() -> List[OrderDemo]:

@@ -17,7 +17,7 @@ Example: ``read-repro fig5 --scale small``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from ..core import (
     BalancedSignClusterer,
     nonnegative_ratio_by_quantile,
     reorder_groups,
-    sort_input_channels,
     top_fraction_nonnegative_ratio,
 )
 from .common import ExperimentScale, get_bundle, get_scale, render_table
@@ -60,11 +59,6 @@ def _position_aligned(wmat: np.ndarray, group_size: int, criteria: str) -> np.nd
         wmat, contiguous_clusters(wmat.shape[1], group_size), criteria=criteria
     )
     return np.concatenate([g.weights for g in groups], axis=1)
-
-
-def plan(scale: Optional[ExperimentScale] = None) -> List[object]:
-    """No engine jobs: weight-matrix analysis only (no array simulation)."""
-    return []
 
 
 def run(

@@ -17,10 +17,12 @@ from typing import Dict, List, Optional, Sequence
 
 from ..arch import AcceleratorConfig
 from ..core import MappingStrategy
-from ..engine import EngineJob, SimJob, default_engine
+from ..engine import SimJob
 from ..hw.variations import PAPER_CORNERS, TER_EVAL_CORNER, PvtaCondition
 from .common import (
     ExperimentScale,
+    Steps,
+    drive,
     get_bundle,
     get_scale,
     render_table,
@@ -46,14 +48,14 @@ class Fig7Result:
     corner_name: str
 
 
-def plan(
+def steps(
     scale: Optional[ExperimentScale] = None,
     recipe: str = "vgg16_cifar10",
     layer_index: int = 6,
     group_sizes: Sequence[int] = (4, 8, 16, 32),
     corner: PvtaCondition = TER_EVAL_CORNER,
-) -> List[EngineJob]:
-    """The engine jobs this figure submits (group-size-major).
+) -> Steps:
+    """Yield the sweep's one job batch (group-size-major); return the result.
 
     Measured at all ``PAPER_CORNERS`` (when the requested corner is one of
     them) and sampled with the shared per-layer RNG, so the group-size-4
@@ -63,8 +65,7 @@ def plan(
     scale = scale or get_scale()
     bundle = get_bundle(recipe, scale)
     qconvs = bundle.qnet.qconvs()
-    layer_index = min(layer_index, len(qconvs) - 1)
-    qc = qconvs[layer_index]
+    qc = qconvs[min(layer_index, len(qconvs) - 1)]
 
     streams = bundle.operand_streams(scale.ter_images)
     acts = sample_layer_acts(streams, qc.name, scale.ter_pixels)
@@ -73,7 +74,7 @@ def plan(
 
     config = AcceleratorConfig()
     usable_sizes = [g for g in group_sizes if g <= wmat.shape[1]]
-    return [
+    all_reports = yield [
         SimJob(
             acts=acts,
             weights=wmat,
@@ -88,6 +89,15 @@ def plan(
         for name, strategy, criteria in VARIANTS
     ]
 
+    ter: Dict[str, List[float]] = {name: [] for name, _, _ in VARIANTS}
+    report_iter = iter(all_reports)
+    for _ in usable_sizes:
+        for name, _, _ in VARIANTS:
+            ter[name].append(next(report_iter)[corner.name].ter)
+    return Fig7Result(
+        layer=qc.name, group_sizes=list(usable_sizes), ter=ter, corner_name=corner.name
+    )
+
 
 def run(
     scale: Optional[ExperimentScale] = None,
@@ -97,24 +107,7 @@ def run(
     corner: PvtaCondition = TER_EVAL_CORNER,
 ) -> Fig7Result:
     """Sweep channels-per-cluster on one trained conv layer."""
-    scale = scale or get_scale()
-    bundle = get_bundle(recipe, scale)
-    qconvs = bundle.qnet.qconvs()
-    layer_index = min(layer_index, len(qconvs) - 1)
-    qc = qconvs[layer_index]
-
-    jobs = plan(scale, recipe, layer_index, group_sizes, corner)
-    usable_sizes = [g for g in group_sizes if g <= qc.lowered_weight_matrix().shape[1]]
-    all_reports = default_engine().run_many(jobs)
-
-    ter: Dict[str, List[float]] = {name: [] for name, _, _ in VARIANTS}
-    report_iter = iter(all_reports)
-    for group_size in usable_sizes:
-        for name, _, _ in VARIANTS:
-            ter[name].append(next(report_iter)[corner.name].ter)
-    return Fig7Result(
-        layer=qc.name, group_sizes=list(usable_sizes), ter=ter, corner_name=corner.name
-    )
+    return drive(steps(scale, recipe, layer_index, group_sizes, corner))
 
 
 def render(result: Fig7Result) -> str:

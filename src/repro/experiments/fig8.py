@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core import MappingStrategy
-from ..engine import EngineJob
 from ..hw.variations import PAPER_CORNERS, TER_EVAL_CORNER, PvtaCondition
 from .common import (
     ALL_STRATEGIES,
     ExperimentScale,
+    Steps,
+    bundle_ter_batch,
+    drive,
     geometric_mean,
     get_bundle,
     get_scale,
-    layer_ter_jobs,
-    measure_layer_ters,
+    layer_ter_steps,
     render_table,
 )
 
@@ -79,51 +80,41 @@ class Fig8Result:
         return max(self.reductions(strategy))
 
 
-def measure_network(
-    recipe: str, scale: ExperimentScale, corner: PvtaCondition
-) -> NetworkLayerTers:
-    """Layer-wise TERs of one trained network, reported at one corner."""
-    bundle = get_bundle(recipe, scale)
-    records = measure_layer_ters(
-        bundle.qnet,
-        bundle.x_test[: scale.ter_images],
-        corners=_measurement_corners(corner),
-        strategies=ALL_STRATEGIES,
-        max_pixels=scale.ter_pixels,
-        streams=bundle.operand_streams(scale.ter_images),
-    )
-    layers = [r.layer for r in records["baseline"]]
-    ter = {
-        s.value: [r.ter_by_corner[corner.name] for r in records[s.value]]
-        for s in ALL_STRATEGIES
-    }
-    flips = {s.value: [r.sign_flip_rate for r in records[s.value]] for s in ALL_STRATEGIES}
-    return NetworkLayerTers(recipe=recipe, layers=layers, ter=ter, sign_flip_rate=flips)
-
-
-def plan(
+def steps(
     scale: Optional[ExperimentScale] = None,
     recipes: Optional[List[str]] = None,
     corner: PvtaCondition = TER_EVAL_CORNER,
-) -> List[EngineJob]:
-    """The engine jobs this figure submits (per recipe, layer-major)."""
+) -> Steps:
+    """Yield both networks' layer-TER batch (per recipe, layer-major); return the result."""
     scale = scale or get_scale()
     recipes = list(recipes or DEFAULT_RECIPES)
-    jobs: List[EngineJob] = []
-    for recipe in recipes:
-        bundle = get_bundle(recipe, scale)
-        streams = bundle.operand_streams(scale.ter_images)
-        jobs.extend(
-            layer_ter_jobs(
-                bundle.qnet,
-                streams,
+    all_records = yield from layer_ter_steps(
+        [
+            bundle_ter_batch(
+                get_bundle(recipe, scale),
                 _measurement_corners(corner),
-                strategies=ALL_STRATEGIES,
-                max_pixels=scale.ter_pixels,
                 label_prefix=f"fig8:{recipe}:",
             )
+            for recipe in recipes
+        ]
+    )
+    networks = []
+    for recipe, records in zip(recipes, all_records):
+        networks.append(
+            NetworkLayerTers(
+                recipe=recipe,
+                layers=[r.layer for r in records["baseline"]],
+                ter={
+                    s.value: [r.ter_by_corner[corner.name] for r in records[s.value]]
+                    for s in ALL_STRATEGIES
+                },
+                sign_flip_rate={
+                    s.value: [r.sign_flip_rate for r in records[s.value]]
+                    for s in ALL_STRATEGIES
+                },
+            )
         )
-    return jobs
+    return Fig8Result(networks=networks, corner_name=corner.name)
 
 
 def run(
@@ -132,10 +123,7 @@ def run(
     corner: PvtaCondition = TER_EVAL_CORNER,
 ) -> Fig8Result:
     """Measure both networks of Fig. 8 (VGG-16 and ResNet-18)."""
-    scale = scale or get_scale()
-    recipes = list(recipes or DEFAULT_RECIPES)
-    networks = [measure_network(recipe, scale, corner) for recipe in recipes]
-    return Fig8Result(networks=networks, corner_name=corner.name)
+    return drive(steps(scale, recipes, corner))
 
 
 def render(result: Fig8Result) -> str:

@@ -12,7 +12,7 @@ Example: ``read-repro fig9 --scale small``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class Fig9Result:
     layer: str
     original: PsumTrace
     reordered: PsumTrace
-
-
-def plan(scale: Optional[ExperimentScale] = None) -> List[object]:
-    """No engine jobs: exact PSUM trajectories via prefix sums (no DTA)."""
-    return []
 
 
 def run(

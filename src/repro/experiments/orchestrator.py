@@ -1,48 +1,43 @@
-"""``read-repro all``: one planned, deduplicated, provenance-tracked sweep.
+"""``read-repro all``: every experiment in lockstep over one engine sweep.
 
 Instead of running the nine artifacts back to back (each submitting its
-own engine batches), the orchestrator builds the full job graph up front
-and executes it as one cache-reusing sweep:
+own engine batches), the orchestrator drives every engine-using
+runner's ``steps(scale)`` generator at once (see :func:`lockstep`):
 
-1. **Plan (simulation phase)** — every runner's ``plan(scale)`` is
-   collected; same-key jobs shared across figures (fig2's
-   output-stationary half, fig8/fig10's layer TERs, fig7's group-size-4
-   variants) deduplicate to a single submission.
-2. **Plan (injection phase)** — runners with ``plan_injections(scale)``
-   (fig10, fig11) derive their BER tables from the now-cached TERs and
-   contribute their :class:`~repro.faults.InjectionJob`\\ s; the *Ideal*
-   cells deduplicate across strategies.
-3. **Sweep** — each phase is one ``SimEngine.run_many`` call, so
-   ``--jobs N`` fans the union of all figures' work over one process
-   pool instead of nine smaller ones.
-4. **Render** — each runner's ``run()`` then re-submits its own jobs and
-   hits the warm cache; renderings land in an artifacts directory next
-   to a ``manifest.json`` recording, per experiment, the output path and
-   the content hashes of every job it submits, plus per-job provenance
-   (kind, label, corners) and the engine configuration.
+1. **Round 1** — each runner yields its layer-TER
+   :class:`~repro.engine.SimJob` batch; same-key jobs shared across
+   figures (fig2's output-stationary half, fig8/fig10's layer TERs,
+   fig7's group-size-4 variants) deduplicate to a single submission.
+2. **Round 2** — fig10 and fig11 turn the reports they were just sent
+   into BER tables and yield their
+   :class:`~repro.faults.InjectionJob`\\ s.
+3. **Sweep** — each round is one ``SimEngine.run_many`` call over its
+   unique jobs, so ``--jobs N`` fans the union of all figures' work over
+   one process pool, and each unique job is built, keyed, submitted and
+   read once, with or without the result cache.
+4. **Render** — each runner's result (from its generator, or from
+   ``run()`` for the pure analyses without ``steps``) is rendered into
+   an artifacts directory next to a ``manifest.json`` recording, per
+   experiment, the output path and the content hashes of every job it
+   submits, plus per-job provenance (kind, label, corners) and the
+   engine configuration.
 
 The manifest is deterministic except for the ``"run"`` block (wall
 clocks and cache-hit counters), which is what lets the test suite assert
 byte-identical manifests across runs modulo timing.
-
-With the cache disabled (``--no-cache``) the up-front sweep is skipped —
-pre-computing results that cannot be stored would double the work — and
-so is injection planning (deriving BER tables costs a layer-TER
-simulation pass of its own); the runners then execute their batches
-directly and the manifest carries only the simulation-phase job hashes.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..engine import EngineJob, SimEngine, default_engine, engine_context
 from . import RUNNERS
-from .common import ExperimentScale, get_scale
+from .common import ExperimentScale, Steps, get_scale
 
 #: Manifest layout version.
 MANIFEST_SCHEMA = 1
@@ -52,6 +47,9 @@ SCALELESS = frozenset({"table1", "fig3"})
 
 #: Timing/counter fields excluded from manifest determinism guarantees.
 VOLATILE_MANIFEST_FIELDS = ("run",)
+
+#: The manifest list each job kind's keys go to, per experiment.
+_KEY_LISTS = {"sim": "sim_jobs", "injection": "injection_jobs"}
 
 
 @dataclass
@@ -64,56 +62,62 @@ class OrchestratorResult:
     manifest_path: Path
 
 
-@dataclass
-class _PlannedExperiment:
-    name: str
-    sim_keys: List[str] = field(default_factory=list)
-    injection_keys: List[str] = field(default_factory=list)
-
-
 def default_artifacts_dir(scale: ExperimentScale) -> Path:
     """``artifacts/<scale>/`` under the repository root (git-ignored)."""
     return Path(__file__).resolve().parents[3] / "artifacts" / scale.name
 
 
-def _dedup(
-    jobs: List[EngineJob], keys: Optional[List[str]] = None
-) -> Tuple[List[EngineJob], Dict[str, Dict[str, object]]]:
-    """Order-preserving unique-by-key jobs plus their provenance records.
+def lockstep(
+    steps: Mapping[Hashable, Steps],
+    engine: SimEngine,
+    on_batch: Optional[Callable[[Hashable, List[EngineJob], List[str]], None]] = None,
+    seconds: Optional[Dict[Hashable, float]] = None,
+) -> Dict[Hashable, object]:
+    """Drive several ``steps`` generators in rounds; return their results by name.
 
-    ``keys`` are the jobs' keys, when the caller already derived them.
+    Each round takes every live generator's batch, in ``steps`` order,
+    keys each job once, deduplicates the union by key, makes one
+    ``engine.run_many`` call over the unique jobs and sends every
+    generator its own jobs' results.  ``on_batch(name, jobs, keys)`` sees
+    each batch before it runs; ``seconds`` accumulates the time spent
+    inside each generator.
     """
-    if keys is None:
+    outcomes: Dict[Hashable, object] = {}
+    batches: Dict[Hashable, Tuple[List[EngineJob], List[str]]] = {}
+
+    def advance(name: Hashable, results: Optional[List[object]]) -> None:
+        started = time.perf_counter()
+        try:
+            jobs = list(steps[name].send(results))
+        except StopIteration as done:
+            outcomes[name] = done.value
+            return
+        finally:
+            if seconds is not None:
+                seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
         keys = [job.key() for job in jobs]
-    unique: List[EngineJob] = []
-    described: Dict[str, Dict[str, object]] = {}
-    for job, key in zip(jobs, keys):
-        if key not in described:
-            described[key] = job.describe()
-            unique.append(job)
-    return unique, described
+        if on_batch is not None:
+            on_batch(name, jobs, keys)
+        batches[name] = (jobs, keys)
 
+    def run_round() -> None:
+        # A function of its own, so this round's jobs and results are
+        # freed before the next round runs.
+        nonlocal batches
+        current, batches = batches, {}
+        unique: Dict[str, EngineJob] = {}
+        for jobs, keys in current.values():
+            for job, key in zip(jobs, keys):
+                unique.setdefault(key, job)
+        by_key = dict(zip(unique, engine.run_many(list(unique.values()))))
+        for name, (_, keys) in current.items():
+            advance(name, [by_key[key] for key in keys])
 
-def _plan_phase(
-    names: List[str],
-    scale: ExperimentScale,
-    attr: str,
-    planned: Dict[str, _PlannedExperiment],
-    key_list: str,
-) -> Tuple[List[EngineJob], List[str]]:
-    """Collect one phase's jobs, and their keys, from every runner exposing ``attr``."""
-    jobs: List[EngineJob] = []
-    keys: List[str] = []
-    for name in names:
-        plan_fn = getattr(RUNNERS[name], attr, None)
-        if plan_fn is None:
-            continue
-        experiment_jobs = list(plan_fn(scale))
-        experiment_keys = [job.key() for job in experiment_jobs]
-        getattr(planned[name], key_list).extend(experiment_keys)
-        jobs.extend(experiment_jobs)
-        keys.extend(experiment_keys)
-    return jobs, keys
+    for name in steps:
+        advance(name, None)
+    while batches:
+        run_round()
+    return outcomes
 
 
 def run_all(
@@ -122,50 +126,49 @@ def run_all(
     engine: Optional[SimEngine] = None,
     names: Optional[List[str]] = None,
 ) -> OrchestratorResult:
-    """Plan, sweep and render every experiment; write artifacts + manifest."""
+    """Sweep and render every experiment; write artifacts + manifest."""
     scale = scale or get_scale()
     engine = engine or default_engine()
     names = list(names) if names is not None else sorted(RUNNERS)
     artifacts_dir = Path(artifacts_dir) if artifacts_dir else default_artifacts_dir(scale)
     artifacts_dir.mkdir(parents=True, exist_ok=True)
 
-    planned = {name: _PlannedExperiment(name) for name in names}
+    key_lists = {name: {field: [] for field in _KEY_LISTS.values()} for name in names}
     job_records: Dict[str, Dict[str, object]] = {}
+    planned = 0
+
+    def record(name: Hashable, jobs: List[EngineJob], keys: List[str]) -> None:
+        nonlocal planned
+        planned += len(jobs)
+        for job, key in zip(jobs, keys):
+            key_lists[name][_KEY_LISTS[job.kind]].append(key)
+            if key not in job_records:
+                job_records[key] = job.describe()
+
     started = time.time()
     baseline_stats = engine.stats.snapshot()
-    sweep_stats = {"planned": 0, "unique": 0, "hits": 0, "misses": 0}
-
+    per_experiment_s: Dict[str, float] = {}
     with engine_context(engine):
-        # Phase 1+2: build the graph up front and sweep it once.  Without
-        # a cache the sweeps are skipped (the runners would recompute
-        # everything anyway) and so is injection *planning*, which itself
-        # costs a layer-TER simulation pass to derive the BER tables —
-        # those job hashes are then absent from the manifest.
-        phases = [("plan", "sim_keys")]
-        if engine.cache is not None:
-            phases.append(("plan_injections", "injection_keys"))
-        for attr, key_list in phases:
-            jobs, keys = _plan_phase(names, scale, attr, planned, key_list)
-            unique, described = _dedup(jobs, keys)
-            job_records.update(described)
-            sweep_stats["planned"] += len(jobs)
-            sweep_stats["unique"] += len(unique)
-            if engine.cache is not None and unique:
-                before = engine.stats.snapshot()
-                engine.run_many(unique)
-                delta = engine.stats.since(before)
-                sweep_stats["hits"] += delta.hits
-                sweep_stats["misses"] += delta.misses
+        steps = {
+            name: RUNNERS[name].steps(scale)
+            for name in names
+            if hasattr(RUNNERS[name], "steps")
+        }
+        results = lockstep(steps, engine, on_batch=record, seconds=per_experiment_s)
+        swept = engine.stats.since(baseline_stats)
 
-        # Phase 3: render each experiment from the warm cache.
         texts: Dict[str, str] = {}
-        per_experiment_s: Dict[str, float] = {}
         for name in names:
             module = RUNNERS[name]
-            t0 = time.time()
-            result = module.run() if name in SCALELESS else module.run(scale=scale)
+            t0 = time.perf_counter()
+            if name in results:
+                result = results[name]
+            else:
+                result = module.run() if name in SCALELESS else module.run(scale=scale)
             texts[name] = module.render(result)
-            per_experiment_s[name] = round(time.time() - t0, 3)
+            per_experiment_s[name] = round(
+                per_experiment_s.get(name, 0.0) + time.perf_counter() - t0, 3
+            )
             (artifacts_dir / f"{name}.txt").write_text(texts[name] + "\n")
 
     total_stats = engine.stats.since(baseline_stats)
@@ -181,8 +184,7 @@ def run_all(
             name: {
                 "output": f"{name}.txt",
                 "description": (RUNNERS[name].__doc__ or "").strip().splitlines()[0],
-                "sim_jobs": planned[name].sim_keys,
-                "injection_jobs": planned[name].injection_keys,
+                **key_lists[name],
             }
             for name in names
         },
@@ -190,7 +192,12 @@ def run_all(
         "run": {
             "wall_clock_s": round(time.time() - started, 3),
             "per_experiment_s": per_experiment_s,
-            "sweep": sweep_stats,
+            "sweep": {
+                "planned": planned,
+                "unique": len(job_records),
+                "hits": swept.hits,
+                "misses": swept.misses,
+            },
             "total": {
                 "submitted": total_stats.total,
                 "cache_hits": total_stats.hits,

@@ -1,31 +1,25 @@
 """``read-repro sweep --suite <name>``: one scenario suite, one engine sweep.
 
 The scenario-matrix counterpart of ``read-repro all``: every scenario in
-the suite (see :mod:`repro.scenarios`) contributes its layer-TER
-simulation jobs and its injection campaigns, and the whole suite
-executes with the orchestrator's plan -> dedup -> sweep -> render
-discipline:
+the suite (see :mod:`repro.scenarios`) is one :func:`scenario_steps`
+generator, and the orchestrator's :func:`~repro.experiments.orchestrator.lockstep`
+driver runs them all at once:
 
-1. **Plan (simulation phase)** — each scenario's bundle is trained (or
-   loaded), its operand streams recorded, and its (layer x strategy x
-   conv-group) :class:`~repro.engine.SimJob` batch collected.  Same-key
-   jobs shared between scenarios — e.g. the dense suites re-measuring a
-   recipe another figure already measured — deduplicate to a single
-   submission.
-2. **Plan (injection phase)** — per (scenario, strategy, injection
-   corner), the now-cached TERs convert through Eq. 1 into a BER table
+1. **Round 1** — each scenario's bundle is trained (or loaded), its
+   operand streams recorded once, and its (layer x strategy x
+   conv-group) :class:`~repro.engine.SimJob` batch yielded.  Same-key
+   jobs shared between scenarios deduplicate to a single submission.
+2. **Round 2** — per (scenario, strategy, injection corner), the TERs
+   the scenario was just sent convert through Eq. 1 into a BER table
    over *every* layer (grouped convs and the lowered classifier head
-   included) and one :class:`~repro.faults.InjectionJob` is planned;
+   included), and one :class:`~repro.faults.InjectionJob` is yielded;
    the scenario's mixed-precision bit widths travel inside the job.
-3. **Sweep** — each phase is one ``SimEngine.run_many`` call: ``--jobs``
-   fans the union over one process pool, warm reruns are 100 % cache
-   hits (the CLI's engine summary line shows the hit count).
+3. **Sweep** — each round is one ``SimEngine.run_many`` call over its
+   unique jobs: ``--jobs`` fans the union over one process pool, warm
+   reruns are 100 % cache hits (the CLI's engine summary line shows the
+   hit count), and without a cache each unique job still runs once.
 4. **Render** — one per-layer TER table per scenario (depthwise groups
    annotated) plus the strategy x corner injected-accuracy grid.
-
-With the cache disabled the phase-1 prepass is skipped (results could
-not be stored, so pre-computing them would double the work) and the
-injection phase derives its BER tables from directly-executed batches.
 """
 
 from __future__ import annotations
@@ -35,24 +29,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..engine import EngineJob, NetworkJob, SimEngine, default_engine, engine_context
-from ..faults import bers_from_layer_ters, injection_job_for_bundle
+from ..engine import SimEngine, default_engine, engine_context
 from ..scenarios import Scenario, get_suite, layer_names_for_recipe
 from .common import (
     ExperimentScale,
     LayerTerRecord,
+    Steps,
     TrainedBundle,
+    bundle_ter_batch,
     gemm_reorder_applicability,
     get_bundle,
     get_scale,
-    layer_ter_jobs,
-    macs_per_layer,
-    measure_layer_ters,
+    layer_ter_steps,
     render_table,
-    ters_for_corner,
 )
-from .fig10 import corner_seed
-from .orchestrator import MANIFEST_SCHEMA, _dedup
+from .fig10 import grid_injection_jobs
+from .orchestrator import MANIFEST_SCHEMA, lockstep
 
 
 @dataclass(frozen=True)
@@ -94,67 +86,49 @@ def scenario_bundle(scenario: Scenario, scale: ExperimentScale) -> TrainedBundle
     )
 
 
-def _scenario_streams(scenario: Scenario, scale: ExperimentScale):
-    """One recorded quantized forward per scenario (shared by both phases)."""
-    return scenario_bundle(scenario, scale).operand_streams(scale.ter_images)
-
-
-def _scenario_sim_jobs(
-    scenario: Scenario, scale: ExperimentScale, streams
-) -> List[EngineJob]:
-    """Phase-1 jobs: the scenario's (layer x strategy x group) TER batch."""
+def scenario_steps(scenario: Scenario, scale: ExperimentScale) -> Steps:
+    """Yield one scenario's layer-TER batch, then its campaigns; return its report."""
     bundle = scenario_bundle(scenario, scale)
-    return layer_ter_jobs(
-        bundle.qnet,
-        streams,
-        scenario.corners,
-        strategies=scenario.strategies,
-        max_pixels=scale.ter_pixels,
-        seed=scenario.seed,
-        label_prefix=f"sweep:{scenario.name}:",
-    )
-
-
-def _scenario_records(
-    scenario: Scenario, scale: ExperimentScale, engine: SimEngine, streams
-) -> Dict[str, List[LayerTerRecord]]:
-    bundle = scenario_bundle(scenario, scale)
-    return measure_layer_ters(
-        bundle.qnet,
-        bundle.x_test[: scale.ter_images],
-        corners=list(scenario.corners),
-        strategies=scenario.strategies,
-        max_pixels=scale.ter_pixels,
-        seed=scenario.seed,
-        engine=engine,
-        streams=streams,
-    )
-
-
-def _scenario_injection_jobs(
-    scenario: Scenario,
-    scale: ExperimentScale,
-    records: Dict[str, List[LayerTerRecord]],
-) -> List[EngineJob]:
-    """Phase-2 jobs: one campaign per (strategy, injection corner)."""
-    bundle = scenario_bundle(scenario, scale)
-    n_macs = macs_per_layer(records)
-    jobs: List[EngineJob] = []
-    for strategy in scenario.strategies:
-        for corner in scenario.inject_corners:
-            ters = ters_for_corner(records, strategy, corner.name)
-            bers = bers_from_layer_ters(ters, n_macs)
-            jobs.append(
-                injection_job_for_bundle(
-                    bundle,
-                    bers,
-                    topk=scenario.topk,
-                    base_seed=corner_seed(corner),
-                    corner=corner.name,
-                    label=f"sweep:{scenario.name}:{strategy.value}:{corner.name}",
-                )
+    label_prefix = f"sweep:{scenario.name}:"
+    (records,) = yield from layer_ter_steps(
+        [
+            bundle_ter_batch(
+                bundle,
+                scenario.corners,
+                strategies=scenario.strategies,
+                seed=scenario.seed,
+                label_prefix=label_prefix,
             )
-    return jobs
+        ]
+    )
+    jobs = grid_injection_jobs(
+        bundle,
+        records,
+        scenario.inject_corners,
+        scenario.strategies,
+        label_prefix=label_prefix,
+        topk=scenario.topk,
+    )
+    results = iter((yield jobs))
+    grid = {
+        strategy.value: {
+            corner.name: next(results).mean_accuracy for corner in scenario.inject_corners
+        }
+        for strategy in scenario.strategies
+    }
+    return ScenarioReport(
+        scenario=scenario,
+        quant_accuracy=bundle.quant_accuracy,
+        records=records,
+        injected_accuracy=grid,
+        bits=bundle.bits_per_layer,
+        reorder_applicability=gemm_reorder_applicability(
+            bundle.qnet,
+            bundle.operand_streams(scale.ter_images),
+            max_pixels=scale.ter_pixels,
+            seed=scenario.seed,
+        ),
+    )
 
 
 def run_suite(
@@ -162,78 +136,17 @@ def run_suite(
     scale: Optional[ExperimentScale] = None,
     engine: Optional[SimEngine] = None,
 ) -> SuiteResult:
-    """Plan, deduplicate and execute one suite as a two-phase engine sweep."""
+    """Run every scenario of one suite in lockstep over one engine sweep."""
     scale = scale or get_scale()
     scenarios = get_suite(suite)
     engine = engine or default_engine()
-
     with engine_context(engine):
-        # One recorded forward per scenario, shared by job planning and
-        # record assembly — the operand streams are the expensive
-        # Python-side work the engine cache cannot memoize.
-        streams = {sc.name: _scenario_streams(sc, scale) for sc in scenarios}
-
-        # Phase 1: the union of every scenario's TER jobs, deduplicated.
-        # Skipped without a cache — the per-scenario measurements below
-        # would re-simulate everything the prepass computed.
-        if engine.cache is not None:
-            sim_jobs, _ = _dedup(
-                [
-                    job
-                    for sc in scenarios
-                    for job in _scenario_sim_jobs(sc, scale, streams[sc.name])
-                ]
-            )
-            if sim_jobs:
-                # Stacked prepass: one NetworkJob folds every distinct
-                # layer simulation of the suite through the backend's
-                # whole-network path; the scheduler still caches (and
-                # counts) each member under its own per-layer key.
-                engine.run_many(
-                    [NetworkJob(jobs=tuple(sim_jobs), label=f"sweep:{suite}")]
-                )
-
-        # Per-scenario assembly reads from the warm cache.
-        all_records = {
-            sc.name: _scenario_records(sc, scale, engine, streams[sc.name])
-            for sc in scenarios
-        }
-
-        # Phase 2: the union of every scenario's injection campaigns.
-        injection_jobs: List[EngineJob] = []
-        spans: List[Tuple[Scenario, int, int]] = []
-        for sc in scenarios:
-            jobs = _scenario_injection_jobs(sc, scale, all_records[sc.name])
-            spans.append((sc, len(injection_jobs), len(injection_jobs) + len(jobs)))
-            injection_jobs.extend(jobs)
-        results = engine.run_many(injection_jobs)
-
-    reports: List[ScenarioReport] = []
-    for sc, start, stop in spans:
-        grid: Dict[str, Dict[str, float]] = {}
-        job_iter = iter(zip(injection_jobs[start:stop], results[start:stop]))
-        for strategy in sc.strategies:
-            grid[strategy.value] = {}
-            for corner in sc.inject_corners:
-                _, result = next(job_iter)
-                grid[strategy.value][corner.name] = result.mean_accuracy
-        bundle = scenario_bundle(sc, scale)
-        reports.append(
-            ScenarioReport(
-                scenario=sc,
-                quant_accuracy=bundle.quant_accuracy,
-                records=all_records[sc.name],
-                injected_accuracy=grid,
-                bits=bundle.bits_per_layer,
-                reorder_applicability=gemm_reorder_applicability(
-                    bundle.qnet,
-                    streams[sc.name],
-                    max_pixels=scale.ter_pixels,
-                    seed=sc.seed,
-                ),
-            )
+        reports = lockstep(
+            {i: scenario_steps(sc, scale) for i, sc in enumerate(scenarios)}, engine
         )
-    return SuiteResult(suite=suite, scale=scale.name, reports=reports)
+    return SuiteResult(
+        suite=suite, scale=scale.name, reports=[reports[i] for i in range(len(scenarios))]
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ Example: ``read-repro table1``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .common import render_table
 
@@ -38,11 +38,6 @@ TABLE1: List[TechniqueFeatures] = [
     TechniqueFeatures("Timing error prediction [10,16]", "circuit-layer", True, True, "Medium", False, "High"),
     TechniqueFeatures("READ (ours)", "dataflow", True, False, "Negligible", False, "Low"),
 ]
-
-
-def plan(scale: Optional[object] = None) -> List[object]:
-    """No engine jobs: a static feature matrix."""
-    return []
 
 
 def run() -> List[TechniqueFeatures]:

@@ -84,7 +84,7 @@ _PASS_CACHE_MAX_BYTES = 1 << 29  # 512 MB per worker process
 _MSB_CACHE: "OrderedDict[Tuple, Dict[str, int]]" = OrderedDict()
 _MSB_CACHE_MAX = 32
 
-#: Per-process work-avoidance counters of the pruning runtime and the
+#: Per-process work-avoidance counters of the lanes runtime and the
 #: shared-memory operand arena.  Accumulated here (the execution layer),
 #: drained by the scheduler into :class:`~repro.engine.scheduler.EngineMetrics`
 #: — pool workers drain after each job and ship the deltas home with the
@@ -92,7 +92,6 @@ _MSB_CACHE_MAX = 32
 _RUNTIME_COUNTERS: Dict[str, int] = {}
 
 _RUNTIME_COUNTER_FIELDS = (
-    "trials_pruned",
     "trials_deduped",
     "arena_hits",
     "arena_stores",
@@ -101,7 +100,7 @@ _RUNTIME_COUNTER_FIELDS = (
 
 
 def record_runtime_counters(**deltas: int) -> None:
-    """Accumulate pruning/dedup/arena events in this process."""
+    """Accumulate trial-dedup/arena events in this process."""
     for name, value in deltas.items():
         if name not in _RUNTIME_COUNTER_FIELDS:
             raise ConfigurationError(f"unknown runtime counter {name!r}")
@@ -422,10 +421,9 @@ def run_injection_trials(
       ``n_trials`` repetitions in one stacked forward pass.  Every trial
       starts on the shared fault-free prefix and forks from the
       recorded accumulators at its first effective flip.  Trials whose
-      flip draws are byte-identical collapse into one representative
-      (dedup), and a trial whose faults are masked rejoins the
-      fault-free lane (prune); both events feed the engine's
-      ``trials_deduped`` / ``trials_pruned`` counters.
+      flip draws are byte-identical collapse into one representative,
+      and a zero-flip draw keeps a trial on the fault-free lane; both
+      dedup events feed the engine's ``trials_deduped`` counter.
     * ``serial`` — the reference loop: one
       :class:`BitFlipInjector`, re-seeded per trial with
       :func:`trial_seed`, driving ``n_trials`` chunked int64 forwards —
@@ -475,9 +473,7 @@ def run_injection_trials(
             x, y, injectors, topk=topk, batch_size=batch_size, prefix=prefix,
             stats=stats,
         )
-        record_runtime_counters(
-            trials_pruned=stats.pruned, trials_deduped=stats.deduped
-        )
+        record_runtime_counters(trials_deduped=stats.deduped)
         flips = sum(inj.flips_injected for inj in injectors)
         return _with_counts(accuracies, flips, n_images)
 

@@ -68,30 +68,18 @@ Injector = Callable[[np.ndarray, "QuantizedConv"], np.ndarray]
 #: observations of another version are then recomputed, not restored.
 CALIBRATION_VERSION = 1
 
-#: A diverged trial class that has absorbed more flips than this skips
-#: the masked-trial compare at layer checkpoints: full-tensor equality
-#: is all but impossible there, and the compare costs a tensor scan.
-_PRUNE_CHECK_MAX_FLIPS = 64
-
 
 @dataclass
 class TrialBatchStats:
     """Work-avoidance counters of one lanes walk.
 
-    ``pruned`` counts (trial, checkpoint) events where a diverged
-    trial's tensor matched the fault-free activations and the trial
-    exited the stacked forward; ``deduped`` counts (trial, layer) events
-    where a trial's flip draw collapsed onto an already-evaluated
-    representative (zero-effective-flip draws rejoining the fault-free
-    lane, or duplicate flip patterns sharing one class).
+    ``deduped`` counts (trial, layer) events where a trial's flip draw
+    collapsed onto an already-evaluated representative (zero-effective-
+    flip draws staying in the fault-free lane, or duplicate flip
+    patterns sharing one class).
     """
 
-    pruned: int = 0
     deduped: int = 0
-
-    def merge(self, other: "TrialBatchStats") -> None:
-        self.pruned += other.pruned
-        self.deduped += other.deduped
 
 
 def fold_batchnorm(
@@ -673,6 +661,12 @@ class FaultFreePass:
         return sum(a.nbytes for a in arrays)
 
 
+#: A lanes walk's state: the diverged classes' stacked tensor, class
+#: ``c`` in rows ``[c*N, (c+1)*N)`` (``None`` while every trial is on
+#: the fault-free lane), and each trial's class (-1: fault-free lane).
+_Lanes = Tuple[Optional[np.ndarray], List[int]]
+
+
 @dataclass
 class _LaneCtx:
     """Shared context of one lanes walk (see ``_lane_conv``)."""
@@ -993,7 +987,7 @@ class QuantizedNetwork:
         return injected, prefix
 
     # ------------------------------------------------------------------ #
-    # Pruning/dedup lanes walk
+    # Dedup lanes walk
     #
     # Trials are partitioned into a fault-free *lane* (assignment -1,
     # served entirely from the recorded pass — no tensors, no GEMMs) and
@@ -1001,23 +995,19 @@ class QuantizedNetwork:
     # owning one (N, ...) slice of a stacked state tensor.  At an
     # injected conv every trial draws its flip plan (preserving the
     # serial RNG streams and flip accounting exactly); trials whose
-    # plans select nothing stay in — or, combined with pruning, rejoin —
-    # the lane they were in, and trials with byte-identical plans on the
-    # same base class collapse into one representative.  After every
-    # top-level op, classes whose tensors have returned to the
-    # fault-free values (masked faults) dissolve back into the
-    # fault-free lane; they re-fork from the cached accumulators if a
-    # later layer is injected, which is what makes pruning exact
-    # everywhere.  Exactness of the whole walk is inductive: every class
-    # tensor is produced by the same deterministic integer ops, from the
-    # same inputs, as each member trial's tensor in a serial forward.
+    # plans select nothing stay in the lane or class they were in, and
+    # trials with byte-identical plans on the same base class collapse
+    # into one representative.  Exactness of the whole walk is
+    # inductive: every class tensor is produced by the same
+    # deterministic integer ops, from the same inputs, as each member
+    # trial's tensor in a serial forward.
     # ------------------------------------------------------------------ #
     def _lane_conv(
         self,
         qc: QuantizedConv,
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]],
+        lanes: _Lanes,
         ctx: _LaneCtx,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
+    ) -> _Lanes:
         """One conv under the lanes walk.
 
         Non-injected: one stacked GEMM over the diverged classes (the
@@ -1027,8 +1017,8 @@ class QuantizedNetwork:
         fault-free-lane trials fork from the cached prefix accumulators,
         so a trial only ever pays for layers where its faults are live.
         """
-        state, assign, flips = lanes
-        n_classes = len(flips)
+        state, assign = lanes
+        n_classes = 0 if state is None else state.shape[0] // ctx.n_images
         n_trials = len(ctx.injectors)
         acc = qc.accumulate_nhwc(state) if n_classes else None
         rows = acc.shape[0] // n_classes if n_classes else 0
@@ -1047,7 +1037,7 @@ class QuantizedNetwork:
         if qc.name not in ctx.injected:
             if not n_classes:
                 return lanes
-            return dequant(acc), assign, flips
+            return dequant(acc), assign
 
         base_ff = ctx.prefix.acc[qc.name]
         plans = [
@@ -1059,7 +1049,6 @@ class QuantizedNetwork:
         ]
         seen: Dict[Tuple[int, Optional[Tuple[bytes, bytes]]], int] = {}
         reps: List[np.ndarray] = []
-        new_flips: List[int] = []
         new_assign = [-1] * n_trials
         for t, plan in enumerate(plans):
             old = assign[t]
@@ -1074,25 +1063,21 @@ class QuantizedNetwork:
                 c = len(reps)
                 seen[(old, sig)] = c
                 reps.append(ctx.injectors[t].apply_plan(base, plan))
-                new_flips.append(
-                    (flips[old] if old >= 0 else 0)
-                    + (0 if plan is None else len(plan[1]))
-                )
             else:
                 ctx.stats.deduped += 1
             new_assign[t] = c
         if not reps:
-            return None, new_assign, []
+            return None, new_assign
         acc_new = reps[0] if len(reps) == 1 else np.concatenate(reps, axis=0)
-        return dequant(acc_new), new_assign, new_flips
+        return dequant(acc_new), new_assign
 
     def _lane_block(
         self,
         block: _QBlock,
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]],
+        lanes: _Lanes,
         ff_in: np.ndarray,
         ctx: _LaneCtx,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
+    ) -> _Lanes:
         """A residual block under the lanes walk.
 
         Main path and shortcut walk independently from the block-input
@@ -1102,7 +1087,7 @@ class QuantizedNetwork:
         """
         main = self._lane_conv(block.qconv1, lanes, ctx)
         if main[0] is not None:
-            main = (np.maximum(main[0], 0.0), main[1], main[2])
+            main = (np.maximum(main[0], 0.0), main[1])
         main = self._lane_conv(block.qconv2, main, ctx)
         if block.qshortcut is not None:
             short = self._lane_conv(block.qshortcut, lanes, ctx)
@@ -1111,12 +1096,11 @@ class QuantizedNetwork:
             short = lanes
             short_ff = ff_in
         main_ff = ctx.prefix.conv_out[block.qconv2.name]
-        m_state, m_assign, m_flips = main
-        s_state, s_assign, s_flips = short
+        m_state, m_assign = main
+        s_state, s_assign = short
         n = ctx.n_images
         seen: Dict[Tuple[int, int], int] = {}
         outs: List[np.ndarray] = []
-        new_flips: List[int] = []
         new_assign = [-1] * len(m_assign)
         for t in range(len(m_assign)):
             key = (m_assign[t], s_assign[t])
@@ -1129,56 +1113,10 @@ class QuantizedNetwork:
                 c = len(outs)
                 seen[key] = c
                 outs.append(np.maximum(m_t + s_t, 0.0))
-                new_flips.append(
-                    (m_flips[key[0]] if key[0] >= 0 else 0)
-                    + (s_flips[key[1]] if key[1] >= 0 else 0)
-                )
             new_assign[t] = c
         if not outs:
-            return None, new_assign, []
-        return np.concatenate(outs, axis=0), new_assign, new_flips
-
-    def _lane_prune(
-        self,
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]],
-        ff_out: np.ndarray,
-        ctx: _LaneCtx,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
-        """Masked-trial checkpoint after one top-level op.
-
-        A diverged class whose tensor equals the recorded fault-free
-        output has had every injected fault masked (typically by ReLU
-        or pooling); its trials dissolve back into the fault-free lane
-        and stop paying for the remaining layers.  Missing a prune is
-        only a missed optimization, so the compare is skipped for
-        classes carrying many flips (see ``_PRUNE_CHECK_MAX_FLIPS``).
-        """
-        state, assign, flips = lanes
-        n_classes = len(flips)
-        if not n_classes:
-            return lanes
-        n = ctx.n_images
-        drop = {
-            c
-            for c in range(n_classes)
-            if flips[c] <= _PRUNE_CHECK_MAX_FLIPS
-            and np.array_equal(state[c * n : (c + 1) * n], ff_out)
-        }
-        if not drop:
-            return lanes
-        kept = [c for c in range(n_classes) if c not in drop]
-        remap = {c: j for j, c in enumerate(kept)}
-        new_assign = []
-        for c in assign:
-            if c >= 0 and c in drop:
-                ctx.stats.pruned += 1
-                new_assign.append(-1)
-            else:
-                new_assign.append(remap[c] if c >= 0 else -1)
-        if not kept:
-            return None, new_assign, []
-        state_new = np.concatenate([state[c * n : (c + 1) * n] for c in kept], axis=0)
-        return state_new, new_assign, [flips[c] for c in kept]
+            return None, new_assign
+        return np.concatenate(outs, axis=0), new_assign
 
     def _forward_trials_lanes(
         self,
@@ -1187,14 +1125,10 @@ class QuantizedNetwork:
         injected: set,
         prefix: FaultFreePass,
         stats: TrialBatchStats,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
-        """The pruning/dedup walk over the whole lowered pipeline."""
+    ) -> _Lanes:
+        """The dedup walk over the whole lowered pipeline."""
         ctx = _LaneCtx(injectors, injected, prefix, x.shape[0], stats)
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]] = (
-            None,
-            [-1] * len(injectors),
-            [],
-        )
+        lanes: _Lanes = (None, [-1] * len(injectors))
         for i, op in enumerate(self._ops):
             if isinstance(op, QuantizedConv):
                 lanes = self._lane_conv(op, lanes, ctx)
@@ -1203,13 +1137,12 @@ class QuantizedNetwork:
                 lanes = self._lane_block(op, lanes, ff_in, ctx)
             elif isinstance(op, ReLU):
                 if lanes[0] is not None:
-                    lanes = (np.maximum(lanes[0], 0.0), lanes[1], lanes[2])
+                    lanes = (np.maximum(lanes[0], 0.0), lanes[1])
             elif isinstance(op, Module):
                 if lanes[0] is not None:
-                    lanes = (self._module_nhwc(op, lanes[0]), lanes[1], lanes[2])
+                    lanes = (self._module_nhwc(op, lanes[0]), lanes[1])
             else:  # pragma: no cover - defensive, mirrors _forward_features
                 raise TrainingError(f"unexpected op {op!r}")
-            lanes = self._lane_prune(lanes, prefix.op_outputs[i], ctx)
         return lanes
 
     def forward_trials(
@@ -1225,16 +1158,16 @@ class QuantizedNetwork:
         :class:`~repro.faults.injection.BitFlipInjector` per trial);
         each must expose the campaign's common ``ber_per_layer`` table.
         Layers before the first injected layer are shared fault-free
-        work served from ``prefix``, and trials exit the stacked forward
-        whenever their faults are masked or their flip draws duplicate
-        another trial's, with work-avoidance events recorded into
+        work served from ``prefix``, a trial forks from it at its first
+        effective flip, and trials whose flip draws duplicate another
+        trial's share its tensors, with those dedup events recorded into
         ``stats``.  Returns the final pipeline tensors shaped
         ``(T*N, classes, 1, 1)`` in trial-major order, bit-identical to
         T independent serial forwards.
         """
         injected, prefix = self._prepare_trials(x, injectors, prefix)
         stats = stats if stats is not None else TrialBatchStats()
-        state, assign, _ = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
+        state, assign = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
         n = x.shape[0]
         ff_out = prefix.op_outputs[-1]
         parts = [ff_out if c < 0 else state[c * n : (c + 1) * n] for c in assign]
@@ -1272,7 +1205,7 @@ class QuantizedNetwork:
             return correct
 
         stats = stats if stats is not None else TrialBatchStats()
-        state, assign, _ = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
+        state, assign = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
         counts: Dict[int, int] = {}
         accuracies: List[float] = []
         for c in assign:
@@ -1623,8 +1556,8 @@ class QuantizedTokenNetwork:
     experiment/injection layers consume — ``calibrate`` / ``evaluate`` /
     ``evaluate_trials`` / ``fault_free_pass`` / ``set_injector`` /
     ``set_recording`` / ``qconvs`` (empty) / ``gemm_ops``.  The trial
-    runtime is the serial loop: attention re-mixes every token after a
-    flip, so the conv walk's masked-trial pruning has no analogue here.
+    runtime is the serial loop: the conv pipeline's lanes walk does not
+    cover token ops.
     """
 
     def __init__(

@@ -205,8 +205,8 @@ class TestSharedStreams:
             return record(qnet, x_images)
 
         monkeypatch.setattr(common, "record_operand_streams", counted)
-        fig2.plan(MICRO)
-        fig7.plan(MICRO)
+        next(fig2.steps(MICRO))  # each runner's first job batch
+        next(fig7.steps(MICRO))
         fig9.run(MICRO)
         assert calls == [MICRO.ter_images]  # fig9 reads 1 image, micro records 1
 

@@ -10,10 +10,7 @@ cover the planner's output-channel permutation (always a bijection) and
 the result cache (hits are byte-identical to cold runs).
 """
 
-import builtins
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +21,6 @@ import repro.engine.cache as cache_module
 from repro.arch import AcceleratorConfig, Dataflow
 from repro.core import MappingStrategy, plan_layer
 from repro.engine import (
-    NetworkJob,
     ResultCache,
     SimEngine,
     SimJob,
@@ -210,8 +206,7 @@ class TestResultCache:
         path.write_bytes(b"not an npz")
         assert cache.load(key, job) is None
         assert not path.exists()  # removed so it cannot keep missing
-        assert cache.load(key, job) is None  # nothing was memoized
-        assert not cache._memo
+        assert cache.load(key, job) is None
 
     def test_non_decode_error_propagates_and_keeps_the_entry(self, tmp_path, monkeypatch):
         # Only decode errors mark an entry corrupt; anything else (e.g. a
@@ -306,8 +301,7 @@ class TestResultCache:
 
 
 class TestCacheReadPath:
-    """One file read per cached result: each npz member is read once, and
-    repeat loads of a key are served by the decoded-result memo."""
+    """One file read per cached result: each npz member is read once."""
 
     @staticmethod
     def stored(tmp_path, seeds=(40,)):
@@ -316,7 +310,7 @@ class TestCacheReadPath:
         results = SimEngine(backend="vector", use_cache=False).run_many(jobs)
         for job, result in zip(jobs, results):
             cache.store(job.key(), job, result)
-        return ResultCache(tmp_path), jobs  # a fresh memo
+        return ResultCache(tmp_path), jobs
 
     def test_load_reads_each_member_once(self, tmp_path, monkeypatch):
         cache, (job,) = self.stored(tmp_path)
@@ -334,91 +328,6 @@ class TestCacheReadPath:
         reports = cache.load(job.key(), job)
         assert len(reports) == len(job.corners)
         assert sorted(calls) == sorted(set(calls)) and len(calls) == members
-
-    def test_repeat_loads_open_the_file_once(self, tmp_path, monkeypatch):
-        cache, (job,) = self.stored(tmp_path)
-        opened = []
-
-        def counting_open(path, *args, **kwargs):
-            opened.append(path)
-            return builtins.open(path, *args, **kwargs)
-
-        monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
-        engine = SimEngine(backend="vector", cache_dir=cache)
-        first = engine.run(job)
-        again = [engine.run(job) for _ in range(3)]
-        assert opened == [cache.path_for(job.key())]
-        assert all(result is first for result in again)  # shared decode
-        assert (engine.stats.hits, engine.stats.misses) == (4, 0)
-        outputs = first[TER_EVAL_CORNER.name].outputs
-        assert not outputs.flags.writeable  # shared, so read-only
-
-    def test_memo_stays_under_its_byte_bound(self, tmp_path, monkeypatch):
-        cache, jobs = self.stored(tmp_path, seeds=range(70, 78))
-        cache.load(jobs[0].key(), jobs[0])
-        entry_bytes = cache._memo_bytes
-        bound = 3 * entry_bytes
-        monkeypatch.setattr(cache_module, "_MEMO_MAX_BYTES", bound)
-        cache._forget_all()
-        order = np.random.default_rng(0).integers(0, len(jobs), size=64)
-        for i in order:
-            assert cache.load(jobs[i].key(), jobs[i]) is not None
-            assert cache._memo_bytes <= bound
-            assert cache._memo_bytes == sum(n for _, n in cache._memo.values())
-        assert len(cache._memo) == 3
-        assert next(reversed(cache._memo))[0] == jobs[order[-1]].key()  # LRU order
-
-    def test_memo_bookkeeping_survives_threads(self, tmp_path, monkeypatch):
-        """The daemon's cache verbs run beside its engine thread, so the
-        memo is shared across threads: remembering, hits and forgetting
-        race here, and a lost update to the byte count would break the
-        invariant checked at the end."""
-        cache = ResultCache(tmp_path)
-        bound = 64 * 100
-        monkeypatch.setattr(cache_module, "_MEMO_MAX_BYTES", bound)
-        job = make_job(seed=95)  # supplies the kind; no entry is on disk
-
-        def churn(i):
-            key = f"key{i % 500}"
-            if i % 97 == 0:
-                cache._forget_all()
-            elif cache.load(key, job) is None:
-                cache._memoize((key, job.kind), i, 64 + i % 7)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(16) as pool:
-                list(pool.map(churn, range(20000), timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        assert cache._memo_bytes <= bound
-        assert cache._memo_bytes == sum(n for _, n in cache._memo.values())
-
-    def test_oversized_result_is_not_memoized(self, tmp_path, monkeypatch):
-        cache, (job,) = self.stored(tmp_path)
-        monkeypatch.setattr(cache_module, "_MEMO_MAX_BYTES", 16)
-        assert cache.load(job.key(), job) is not None
-        assert not cache._memo and cache._memo_bytes == 0
-
-    def test_clear_and_gc_forget_memoized_keys(self, tmp_path):
-        cache, (job, _) = self.stored(tmp_path, seeds=(90, 91))
-        assert cache.load(job.key(), job) is not None
-        assert cache.clear() == 2
-        assert cache.load(job.key(), job) is None
-
-        cache, (job, _) = self.stored(tmp_path, seeds=(90, 91))
-        assert cache.load(job.key(), job) is not None
-        cache.gc(max_bytes=0)  # evicts both entries
-        assert cache.load(job.key(), job) is None
-
-    def test_memo_is_keyed_by_kind(self, tmp_path):
-        cache, (job,) = self.stored(tmp_path)
-        assert cache.load(job.key(), job) is not None
-        stacked = NetworkJob(jobs=(job,))
-        # the entry is a "sim" result: a "network" load of the same key
-        # must not be served the memoized SimJob decode
-        assert cache.load(job.key(), stacked) is None
 
 
 class TestJobKey:

@@ -170,3 +170,29 @@ class TestCli:
         for bad in ("lots", "-1", ""):
             with pytest.raises(ValueError):
                 parse_byte_count(bad)
+
+    def test_engine_summary_names_only_backends_that_simulated(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A warm run simulates nothing, so its summary names no backend;
+        # the "engine[...]: N job(s): ..." shape stays for the parsers.
+        from repro.cli import main
+        from repro.engine import reset_default_engine
+        from repro.experiments import fig7
+
+        micro = SCALES["micro"]
+        n = len(next(fig7.steps(micro)))  # also loads the bundle in memory
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))  # a cold result cache
+        summaries = []
+        try:
+            for _ in range(2):
+                assert main(["fig7", "--scale", "micro", "--backend", "vector"]) == 0
+                summaries.append(capsys.readouterr().out.splitlines()[-1])
+        finally:
+            reset_default_engine()
+        assert summaries == [
+            f"engine[vector, jobs=1, cache=on]: {n} job(s): 0 cache hit(s), "
+            f"0 deduplicated, {n} simulated",
+            f"engine[jobs=1, cache=on]: {n} job(s): {n} cache hit(s), "
+            "0 deduplicated, 0 simulated",
+        ]

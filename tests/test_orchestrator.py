@@ -3,16 +3,16 @@
 Runs the full sweep twice at the smallest scale against a private result
 cache: the first (cold) run must produce an artifacts directory whose
 manifest lists every figure with its job hashes; the second (warm) run
-must be served entirely from the cache and produce a byte-identical
-manifest modulo the volatile ``"run"`` block.
+must be served entirely from the cache, reading each key once, and
+produce a byte-identical manifest modulo the volatile ``"run"`` block.
 """
 
 import json
 
 import pytest
 
-from repro.engine import SimEngine
-from repro.experiments import RUNNERS, SCALES, run_all
+from repro.engine import ResultCache, SimEngine, engine_context
+from repro.experiments import RUNNERS, SCALES, fig10, run_all
 from repro.experiments.orchestrator import SCALELESS, VOLATILE_MANIFEST_FIELDS
 
 SMALLEST = SCALES["micro"]
@@ -29,19 +29,39 @@ def _stripped(manifest_path):
     return manifest
 
 
+class CountingCache(ResultCache):
+    """A result cache that records every key ``load`` is asked for."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.loaded = []
+
+    def load(self, key, job):
+        self.loaded.append(key)
+        return super().load(key, job)
+
+
 @pytest.fixture(scope="module")
-def sweeps(tmp_path_factory):
-    root = tmp_path_factory.mktemp("orchestrator")
-    cache = root / "cache"
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("orchestrator") / "cache"
+
+
+@pytest.fixture(scope="module")
+def warm_cache(cache_dir):
+    return CountingCache(cache_dir)
+
+
+@pytest.fixture(scope="module")
+def sweeps(cache_dir, warm_cache):
     cold = run_all(
         scale=SMALLEST,
-        artifacts_dir=root / "cold",
-        engine=SimEngine(backend="vector", jobs=1, cache_dir=cache),
+        artifacts_dir=cache_dir.parent / "cold",
+        engine=SimEngine(backend="vector", jobs=1, cache_dir=cache_dir),
     )
     warm = run_all(
         scale=SMALLEST,
-        artifacts_dir=root / "warm",
-        engine=SimEngine(backend="vector", jobs=1, cache_dir=cache),
+        artifacts_dir=cache_dir.parent / "warm",
+        engine=SimEngine(backend="vector", jobs=1, cache_dir=warm_cache),
     )
     return cold, warm
 
@@ -104,12 +124,25 @@ class TestCacheReuse:
         assert cold.manifest["run"]["total"]["computed"] > 0
         assert cold.manifest["run"]["sweep"]["misses"] > 0
 
+    def test_cold_run_reads_back_nothing_it_stored(self, sweeps):
+        cold, _ = sweeps
+        total = cold.manifest["run"]["total"]
+        assert total["cache_hits"] == 0
+        assert total["computed"] == cold.manifest["run"]["sweep"]["unique"]
+
     def test_warm_run_is_100_percent_cache_hits(self, sweeps):
         _, warm = sweeps
         run = warm.manifest["run"]
         assert run["total"]["computed"] == 0
         assert run["sweep"]["misses"] == 0
         assert run["total"]["cache_hits"] > 0
+
+    def test_warm_run_reads_each_key_once(self, sweeps, warm_cache):
+        _, warm = sweeps
+        run = warm.manifest["run"]
+        assert len(warm_cache.loaded) == len(set(warm_cache.loaded))
+        assert set(warm_cache.loaded) == set(warm.manifest["jobs"])
+        assert run["total"]["submitted"] == run["sweep"]["unique"]
 
     def test_manifests_byte_identical_modulo_timing(self, sweeps):
         cold, warm = sweeps
@@ -119,6 +152,34 @@ class TestCacheReuse:
         cold, warm = sweeps
         for name in RUNNERS:
             assert cold.texts[name] == warm.texts[name]
+
+
+class TestDrivers:
+    def test_no_cache_run_simulates_each_unique_job_once(self, sweeps, tmp_path):
+        cold, _ = sweeps
+        result = run_all(
+            scale=SMALLEST,
+            artifacts_dir=tmp_path,
+            engine=SimEngine(backend="vector", jobs=1, use_cache=False),
+            names=["fig8", "fig10"],
+        )
+        run = result.manifest["run"]
+        assert run["sweep"]["unique"] < run["sweep"]["planned"]
+        assert run["total"]["computed"] == run["sweep"]["unique"]
+        assert run["total"]["submitted"] == run["sweep"]["unique"]
+        experiments = result.manifest["experiments"]
+        assert experiments["fig10"]["injection_jobs"]
+        for name in ("fig8", "fig10"):
+            assert experiments[name] == cold.manifest["experiments"][name]
+            assert result.texts[name] == cold.texts[name]
+
+    def test_standalone_run_renders_like_the_sweep(self, sweeps, cache_dir):
+        cold, _ = sweeps
+        engine = SimEngine(backend="vector", jobs=1, cache_dir=cache_dir)
+        with engine_context(engine):
+            text = fig10.render(fig10.run(scale=SMALLEST))
+        assert text == cold.texts["fig10"]
+        assert engine.stats.misses == 0
 
 
 class TestScaleless:

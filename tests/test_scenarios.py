@@ -102,17 +102,17 @@ class TestGroupedTerJobs:
         return get_bundle("mobilenet_cifar10", MICRO)
 
     def test_one_job_per_group(self, mobile_bundle):
-        from repro.experiments.common import layer_ter_jobs, record_operand_streams
+        from repro.experiments.common import layer_ter_batch, record_operand_streams
 
         qnet = mobile_bundle.qnet
         streams = record_operand_streams(qnet, mobile_bundle.x_test[:1])
-        jobs = layer_ter_jobs(
+        jobs = layer_ter_batch(
             qnet, streams, [TER_EVAL_CORNER], strategies=[], max_pixels=4
-        )
+        ).jobs
         assert jobs == []
-        jobs = layer_ter_jobs(
+        jobs = layer_ter_batch(
             qnet, streams, [TER_EVAL_CORNER], max_pixels=4
-        )
+        ).jobs
         expected = sum(qc.groups for qc in qnet.qconvs()) * 3  # 3 strategies
         assert len(jobs) == expected
         # every grouped job's GEMM is the group's own short reduction

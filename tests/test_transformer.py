@@ -28,7 +28,7 @@ from repro.experiments.common import (
     MAX_DYNAMIC_INSTANCES,
     gemm_reorder_applicability,
     gemm_sim_units,
-    layer_ter_jobs,
+    layer_ter_batch,
     measure_layer_ters,
     record_operand_streams,
 )
@@ -308,10 +308,10 @@ class TestGemmSimUnits:
 
     def test_job_emission_is_gemm_major_and_labelled(self, recorded):
         qnet, streams, x = recorded
-        jobs = layer_ter_jobs(
+        jobs = layer_ter_batch(
             qnet, streams, [IDEAL], strategies=[MappingStrategy.REORDER],
             max_pixels=4,
-        )
+        ).jobs
         n_dynamic = sum(
             1 for o in qnet.gemm_ops() if isinstance(o, QuantizedDynamicMatmul)
         )
