@@ -106,32 +106,28 @@ def im2col(
 
     Zero padding matches the convolution's implicit border; the column
     order is ``(c, fy, fx)`` with ``c`` outermost (see module docstring).
+    One gather builds it: a per-image ``(OH*OW, C*Fy*Fx)`` index into each
+    flattened, zero-bordered image copy.
     """
     inputs = np.asarray(inputs)
     if inputs.ndim != 4:
         raise ShapeError(f"inputs must be 4-D (N, C, H, W), got {inputs.shape}")
     n, c, h, w = inputs.shape
-    if padding:
-        inputs = np.pad(
-            inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    oh = (h + 2 * padding - fy) // stride + 1
-    ow = (w + 2 * padding - fx) // stride + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - fy) // stride + 1
+    ow = (wp - fx) // stride + 1
     if oh < 1 or ow < 1:
         raise ShapeError(
             f"kernel {fy}x{fx} stride {stride} does not fit input {h}x{w} pad {padding}"
         )
-    # sliding windows: (N, C, OH, OW, Fy, Fx)
-    s = inputs.strides
-    windows = np.lib.stride_tricks.as_strided(
-        inputs,
-        shape=(n, c, oh, ow, fy, fx),
-        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
-        writeable=False,
-    )
-    # -> (N, OH, OW, C, Fy, Fx) -> (N*OH*OW, C*Fy*Fx)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * fy * fx)
-    return np.ascontiguousarray(cols)
+    padded = np.zeros((n, c, hp, wp), dtype=inputs.dtype)
+    padded[:, :, padding : padding + h, padding : padding + w] = inputs
+    # index axes (OH, OW, C, Fy, Fx)
+    y = (np.arange(oh)[:, None] * stride + np.arange(fy))[:, None, None, :, None]
+    x = (np.arange(ow)[:, None] * stride + np.arange(fx))[None, :, None, None, :]
+    idx = np.arange(c)[:, None, None] * (hp * wp) + (y * wp + x)
+    cols = np.take(padded.reshape(n, -1), idx.reshape(oh * ow, c * fy * fx), axis=1)
+    return cols.reshape(n * oh * ow, c * fy * fx)
 
 
 def conv2d_reference(

@@ -554,11 +554,13 @@ def reset_default_arena() -> None:
 def shutdown_arena() -> Optional[ArenaSweepReport]:
     """Release this process's leases and reclaim unreferenced segments.
 
-    The engine/daemon shutdown hook: safe to call when the arena was
-    never used (returns None).
+    The engine/daemon shutdown hook.  It sweeps whenever the registry
+    directory exists (creating none), also in a process that never used
+    the arena: a parent whose pool workers published, then exited still
+    holding their leases.  Returns None when there is nothing to sweep.
     """
-    global _default
-    if _default is None:
+    arena = _default or (default_arena() if arena_root().is_dir() else None)
+    if arena is None:
         return None
-    _default.release_all()
-    return _default.sweep()
+    arena.release_all()
+    return arena.sweep()

@@ -57,19 +57,23 @@ def col2im(
     """Scatter-add inverse of :func:`repro.arch.mapper.im2col`.
 
     ``cols`` has shape ``(N*OH*OW, C*Fy*Fx)``; overlapping windows add,
-    which is exactly the gradient of the window extraction.
+    which is exactly the gradient of the window extraction.  Taps add in
+    ``(dy, dx)`` order into a channels-last buffer, so each element sees an
+    NCHW scatter-add's float additions in the same order; one copy then
+    gives the result NCHW strides.
     """
     n, c, h, w = x_shape
     oh, ow = conv_out_hw(h, w, fy, fx, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
-    x_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, oh, ow, c, fy, fx).transpose(0, 3, 1, 2, 4, 5)
+    nhwc = np.zeros((n, hp, wp, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, oh, ow, c, fy, fx)
     # scatter-add each kernel offset in one vectorized slice-assignment
     for dy in range(fy):
         for dx in range(fx):
-            x_padded[:, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride] += cols6[
-                :, :, :, :, dy, dx
+            nhwc[:, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride] += cols6[
+                ..., dy, dx
             ]
+    x_padded = nhwc.transpose(0, 3, 1, 2).copy()
     if padding:
         return x_padded[:, :, padding : padding + h, padding : padding + w]
     return x_padded

@@ -1,10 +1,10 @@
 """SGD training loop for the numpy DNN framework.
 
 Minimal but complete: SGD with momentum and weight decay, step-decayed
-learning rate, minibatch shuffling, and a :class:`Trainer` that records a
-per-epoch history.  Enough to train the scaled VGG/ResNet models to high
-accuracy on the synthetic datasets so the fault-injection study has a
-meaningful accuracy to degrade.
+learning rate, minibatch shuffling, and a :class:`Trainer` that records
+the per-epoch training loss.  Enough to train the scaled VGG/ResNet
+models to high accuracy on the synthetic datasets so the fault-injection
+study has a meaningful accuracy to degrade.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ class SgdMomentum:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch metrics collected by the trainer."""
+    """Per-epoch mean training loss collected by the trainer."""
 
     loss: List[float] = field(default_factory=list)
-    train_accuracy: List[float] = field(default_factory=list)
 
 
 class Trainer:
@@ -92,7 +91,7 @@ class Trainer:
         epochs: int,
         verbose: bool = False,
     ) -> TrainHistory:
-        """Train for ``epochs`` passes; returns the metric history."""
+        """Train for ``epochs`` passes, leaving the model in eval mode; returns the losses."""
         history = TrainHistory()
         n = x_train.shape[0]
         for epoch in range(epochs):
@@ -106,14 +105,11 @@ class Trainer:
                 epoch_loss += loss
                 n_batches += 1
             history.loss.append(epoch_loss / max(n_batches, 1))
-            history.train_accuracy.append(self.evaluate(x_train[:512], y_train[:512]))
             if verbose:  # pragma: no cover - console output
-                print(
-                    f"epoch {epoch + 1}/{epochs}: loss={history.loss[-1]:.4f} "
-                    f"train_acc={history.train_accuracy[-1]:.3f}"
-                )
+                print(f"epoch {epoch + 1}/{epochs}: loss={history.loss[-1]:.4f}")
             if (epoch + 1) % self.lr_decay_every == 0:
                 self.optimizer.lr *= self.lr_decay
+        self.model.eval()
         return history
 
     def _train_step(self, x: np.ndarray, y: np.ndarray) -> float:

@@ -208,6 +208,47 @@ class TestLifecycle:
         )
 
 
+def _publish_and_exit(root):
+    """A pool worker's end: publish, then exit without dropping the lease."""
+    OperandArena(root).publish("k", bundle())
+    os._exit(0)
+
+
+@pytest.mark.concurrency
+class TestShutdownSweep:
+    def test_sweeps_segments_published_only_by_dead_workers(self, monkeypatch, tmp_path):
+        """The parent of a pool whose workers did all the publishing never
+        touched the arena itself; its shutdown must still reclaim the
+        segments those exited workers left leased."""
+        from repro.engine.arena import _open_shm, _segment_name, shutdown_arena
+
+        root = tmp_path / "arena"
+        monkeypatch.setenv(ARENA_DIR_ENV, str(root))
+        reset_default_arena()
+        worker = _MP.Process(target=_publish_and_exit, args=(root,))
+        worker.start()
+        worker.join(timeout=60)
+        try:
+            assert worker.exitcode == 0
+            assert OperandArena(root).stats().segments == 1
+            report = shutdown_arena()
+        finally:
+            reset_default_arena()
+            OperandArena(root).sweep()  # reclaim even when the test fails
+        assert report is not None and report.segments_removed == 1
+        with pytest.raises(FileNotFoundError):
+            _open_shm(_segment_name("k")).close()
+
+    def test_creates_no_registry(self, monkeypatch, tmp_path):
+        from repro.engine.arena import shutdown_arena
+
+        root = tmp_path / "never-used"
+        monkeypatch.setenv(ARENA_DIR_ENV, str(root))
+        reset_default_arena()
+        assert shutdown_arena() is None
+        assert not root.exists()
+
+
 def _attach_and_hang(root, ready):
     arena = OperandArena(root)
     entry = arena.attach("k")
@@ -285,11 +326,15 @@ sys.exit(main(sys.argv[2:]))
 
 @pytest.mark.concurrency
 class TestCliExit:
-    def test_cli_exit_leaves_no_segments(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cli_exit_leaves_no_segments(self, tmp_path, jobs):
         """A normal ``read-repro`` exit reclaims what the run published.
 
         Without the engine shutdown sweep only ``atexit``'s lease drop
         runs, and every segment outlives the process in ``/dev/shm``.
+        With ``--jobs 2`` the pool workers publish and exit holding
+        their leases while the parent never touches the arena, so the
+        parent's sweep must run all the same.
         """
         from repro.engine.arena import _open_shm
         from repro.experiments.common import SCALES, get_bundle, save_model_state
@@ -313,8 +358,8 @@ class TestCliExit:
         )
         proc = subprocess.run(
             [sys.executable, "-c", _LOGGING_CLI, str(log), "campaign",
-             "--recipe", "vgg16_cifar10", "--scale", "micro", "--jobs", "1",
-             "--max-trials", "2", "--shard-trials", "2", "--max-shards", "1",
+             "--recipe", "vgg16_cifar10", "--scale", "micro", "--jobs", jobs,
+             "--max-trials", "2", "--shard-trials", "2", "--max-shards", "4",
              "--artifacts", str(tmp_path / "artifacts")],
             env=env, capture_output=True, text=True, timeout=600,
         )
