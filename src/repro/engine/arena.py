@@ -21,11 +21,15 @@ Lifecycle is lease-based and SIGKILL-safe:
   kept until process exit, because consumers (the memoized fault-free
   pass) hold numpy views into them and unmapping under a live view is
   a segfault (see :class:`ArenaEntry`);
-* :meth:`OperandArena.sweep` — run on shutdown and by ``read-repro
-  cache gc`` — removes leases whose pid is dead (a SIGKILLed worker
-  cannot clean up, but its pid stops existing) and unlinks any segment
-  with no live leases left.  ``flock`` on the registry serializes
-  publishers and sweepers, and dies with its holder.
+* :meth:`OperandArena.sweep` — run on shutdown, at the exit of any
+  process that published or attached (so library callers that never
+  close an engine leak nothing), and by ``read-repro cache gc`` —
+  removes leases whose pid is dead (a SIGKILLed worker cannot clean up,
+  but its pid stops existing) and unlinks any segment with no live
+  leases left.  Forked pool workers leave through ``os._exit`` and run
+  no ``atexit`` hook; their parent's shutdown sweep covers them.
+  ``flock`` on the registry serializes publishers and sweepers, and
+  dies with its holder.
 
 Segments are deliberately *not* left to the interpreter's
 ``resource_tracker``: its exit-time unlink would destroy a segment the
@@ -286,7 +290,14 @@ class OperandArena:
     def _ensure_atexit(self) -> None:
         if not self._atexit_registered:
             self._atexit_registered = True
-            atexit.register(self.release_all)
+            atexit.register(self._exit)
+
+    def _exit(self) -> None:
+        """``atexit`` hook: drop this process's leases, then reclaim
+        every segment no live process leases."""
+        self.release_all()
+        if self.root.is_dir():
+            self.sweep()
 
     # ------------------------------------------------------------------ #
     def publish(

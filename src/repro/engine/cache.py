@@ -43,22 +43,29 @@ the cache is additionally concurrency-safe:
   holding it) and optionally enforces a size-bounded LRU eviction policy
   (recency = entry mtime, refreshed on every cache hit).
 
-Reads go through one decode path: :func:`read_npz` pulls every member
-of an entry out of the archive exactly once (each lazy ``NpzFile`` index
-is a zip open plus a ``.npy`` header parse) and hands the job's
-deserializer a plain dict; the daemon's result frames decode through the
-same helper.  Nothing is memoized in memory: the experiment drivers
+Reads go through one decode path: :func:`read_npz` reads every member
+of an entry out of the archive exactly once and hands the job's
+deserializer a plain dict; the daemon's result frames and the
+trained-state files decode through the same helper.  Only the parsed
+``.npy`` headers are memoized (a run meets a few dozen distinct ones
+across thousands of members); results are not: the experiment drivers
 submit each unique job once per process (see
 :func:`repro.experiments.orchestrator.lockstep`), so every load reads
-its file once.  Decoded arrays are read-only, because within-batch
-deduplication shares one decoded result between same-key jobs.
+its file once.  Decoded arrays are read-only views of the member bytes,
+because within-batch deduplication shares one decoded result between
+same-key jobs.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
+import io
+import math
 import os
+import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -86,29 +93,95 @@ _NPZ_MAGIC = b"PK\x03\x04"
 _MIN_ENTRY_BYTES = 23
 
 #: What decoding an unreadable, truncated, schema-incompatible or
-#: kind-mismatched entry raises.  Only these mark an entry corrupt; any
-#: other error (e.g. a spurious ``SystemError`` from concurrent ``np.load``
-#: header parses) propagates and leaves the entry on disk.
-_DECODE_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError)
+#: kind-mismatched entry raises: a bad zip structure, a corrupt deflate
+#: stream (``zlib.error``), a malformed ``.npy`` header or payload, a
+#: missing field.  Only these mark an entry corrupt; any other error
+#: (say, a ``MemoryError`` or a bug in a deserializer) propagates and
+#: leaves the entry on disk.
+_DECODE_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError, zlib.error)
 
 #: Per-shard lock file name (dot-prefixed: invisible to the ``*.npz``
 #: globs and to the ``.*.tmp`` orphan sweep).
 _LOCK_FILE = ".lock"
 
+#: The ``.npy`` format versions ``np.save`` writes: 1.0, or 2.0 for a
+#: header past 64 KiB (3.0 only for structured dtypes with non-latin-1
+#: field names, which nothing here stores).  Each maps to the width of
+#: its header-length field and numpy's parser of its header.
+_NPY_FORMATS = {
+    (1, 0): (2, np.lib.format.read_array_header_1_0),
+    (2, 0): (4, np.lib.format.read_array_header_2_0),
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def _npy_header(prefix: bytes) -> Tuple[Tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of one ``.npy`` header.
+
+    ``prefix`` is the member's bytes up to its payload: magic, version,
+    length and header.  Memoized on those bytes, because numpy's parser
+    runs ``ast.literal_eval`` and a warm ``read-repro all`` decodes
+    thousands of members that share a few dozen headers.
+    """
+    stream = io.BytesIO(prefix)
+    _, read_header = _NPY_FORMATS[np.lib.format.read_magic(stream)]
+    try:
+        shape, fortran_order, dtype = read_header(stream)
+    except (SyntaxError, tokenize.TokenError) as exc:
+        # A header ``ast`` rejects goes through numpy's tokenizing
+        # Python 2 filter, which can fail in these ways too.
+        raise ValueError(f"cannot parse .npy header: {exc}") from exc
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded without pickle")
+    if any(dim < 0 for dim in shape):
+        raise ValueError(f"negative dimension in .npy shape {shape}")
+    return shape, fortran_order, dtype
+
+
+def _npy_array(raw: bytes) -> np.ndarray:
+    """A read-only view of the array one ``.npy`` member's bytes hold."""
+    version = tuple(raw[6:8])
+    if raw[:6] != np.lib.format.MAGIC_PREFIX or version not in _NPY_FORMATS:
+        raise ValueError("not a version 1.0 or 2.0 .npy member")
+    width, _ = _NPY_FORMATS[version]
+    start = 8 + width + int.from_bytes(raw[8 : 8 + width], "little")
+    shape, fortran_order, dtype = _npy_header(raw[:start])
+    count = math.prod(shape)
+    if len(raw) - start != count * dtype.itemsize:
+        raise ValueError(
+            f".npy payload holds {len(raw) - start} byte(s), header needs "
+            f"{count * dtype.itemsize}"
+        )
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
+    return arr.reshape(shape, order="F" if fortran_order else "C")
+
 
 def read_npz(source: Union[str, Path, BinaryIO]) -> Dict[str, np.ndarray]:
     """Every member of an ``.npz`` archive, each read once, read-only.
 
-    The one decode path of cached results: :meth:`ResultCache.load` and
-    the daemon's :func:`~repro.engine.protocol.decode_result` both hand
-    the job's ``deserialize_result`` the dict this returns.  The arrays
-    are marked read-only because decoded results are shared (within-batch
-    dedup).
+    The one decode path of cached results and trained-state files:
+    :meth:`ResultCache.load` and the daemon's
+    :func:`~repro.engine.protocol.decode_result` hand the job's
+    ``deserialize_result`` the dict this returns, and
+    :func:`~repro.experiments.common.load_model_state` restores from it.
+    Decodes each member as ``np.load(source, allow_pickle=False)`` does
+    (its test oracle), but parses each distinct header once per process
+    and returns each array as a read-only view of its member's bytes
+    (decoded results are shared by within-batch dedup).  Stored and
+    deflated members both read; anything malformed, a payload of the
+    wrong length included, raises one of ``_DECODE_ERRORS``.
     """
-    with np.load(source, allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
-    for arr in arrays.values():
-        arr.flags.writeable = False
+    arrays = {}
+    try:
+        with zipfile.ZipFile(source) as archive:
+            for info in archive.infolist():
+                name = info.filename
+                arrays[name[:-4] if name.endswith(".npy") else name] = _npy_array(archive.read(info))
+    except (NotImplementedError, RuntimeError) as exc:
+        # zipfile's refusals of a damaged header field: an unknown
+        # version, compression method or flag bit, or a stray
+        # encryption flag ("password required").
+        raise zipfile.BadZipFile(str(exc)) from exc
     return arrays
 
 

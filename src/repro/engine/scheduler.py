@@ -346,12 +346,11 @@ class SimEngine:
         """Release the persistent pool (no-op without ``keep_pool``) and
         this process's operand-arena leases.
 
-        Pool workers drop their own leases at exit (the arena's
-        ``atexit`` hook), so after the pool shutdown the follow-up sweep
-        reclaims every segment the engine's fan-out was keeping alive —
-        including segments leased by workers that died without running
-        ``atexit`` (SIGKILL), whose pid-named leases the sweep detects
-        as dead.
+        Forked pool workers leave through ``os._exit`` and run no
+        ``atexit`` hook, so they exit still holding their leases (as
+        does a SIGKILLed worker); after the pool shutdown the follow-up
+        sweep detects those pid-named leases as dead and reclaims every
+        segment the engine's fan-out was keeping alive.
         """
         if self._persistent_pool is not None:
             self._persistent_pool.shutdown()

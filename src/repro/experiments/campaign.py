@@ -384,10 +384,11 @@ def run_campaign(
             "cancelled_shards": stats.cancelled,
             "executed_shards": sum(len(cell.results) for cell in cells),
             "recalled_shards": recalled_shards,
-            # Work-avoidance counters of the pruning injection runtime
-            # and the shared-memory operand arena.  Volatile by nature:
-            # resumed runs recall shards from the cache and never
-            # re-execute the trials that produced these events.
+            # Work-avoidance counters of the batched injection runtime
+            # (``trials_pruned`` stays 0: the lanes walk prunes no
+            # masked trials) and the shared-memory operand arena.
+            # Volatile by nature: resumed runs recall shards from the
+            # cache and never re-execute the trials behind these events.
             "trials_pruned": stats.trials_pruned,
             "trials_deduped": stats.trials_deduped,
             "arena_hits": stats.arena_hits,

@@ -37,6 +37,7 @@ from ..core import MappingStrategy
 from ..core.pipeline import plan_layer
 from ..core.signflip import paper_sign
 from ..engine import EngineJob, SimEngine, SimJob, cache_root, default_engine
+from ..engine.cache import read_npz
 from ..errors import ConfigurationError
 from ..hw.variations import PvtaCondition
 from ..nn.datasets import load_dataset
@@ -210,7 +211,9 @@ def save_model_state(
 
     ``calibration`` — the quantized network's
     :meth:`~repro.nn.quantize.QuantizedNetwork.calibration` — is stored
-    beside the parameters, tagged with ``CALIBRATION_VERSION``.  Written
+    beside the parameters, tagged with ``CALIBRATION_VERSION``.  Members
+    are stored, not deflated: float weights deflate by only a few per
+    cent, and inflating them would double every reload.  Written
     atomically (temp file + ``os.replace``) so pool workers that race to
     train the same missing bundle never observe a partial file.
     """
@@ -222,7 +225,7 @@ def save_model_state(
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -233,28 +236,29 @@ def load_model_state(
 ) -> Optional[Dict[str, np.ndarray]]:
     """Restore parameters saved by :func:`save_model_state` in place.
 
-    Returns the stored calibration observations, or ``None`` when the
-    file holds none of the current ``CALIBRATION_VERSION``.
+    Returns the stored calibration observations (read-only arrays), or
+    ``None`` when the file holds none of the current
+    ``CALIBRATION_VERSION``.  Decodes through the result cache's
+    :func:`~repro.engine.cache.read_npz`, so files written deflated by
+    earlier versions load too.
     """
-    with np.load(path) as data:
-        for i, p in enumerate(model.parameters()):
-            p.data[...] = data[f"p{i}"]
-        bn_idx = 0
-        for module in model.modules():
-            if isinstance(module, BatchNorm2d):
-                module.running_mean[...] = data[f"rm{bn_idx}"]
-                module.running_var[...] = data[f"rv{bn_idx}"]
-                bn_idx += 1
-        if (
-            "calibration_version" not in data.files
-            or int(data["calibration_version"]) != CALIBRATION_VERSION
-        ):
-            return None
-        return {
-            key[len(_CALIBRATION_PREFIX):]: data[key]
-            for key in data.files
-            if key.startswith(_CALIBRATION_PREFIX)
-        }
+    data = read_npz(path)
+    for i, p in enumerate(model.parameters()):
+        p.data[...] = data[f"p{i}"]
+    bn_idx = 0
+    for module in model.modules():
+        if isinstance(module, BatchNorm2d):
+            module.running_mean[...] = data[f"rm{bn_idx}"]
+            module.running_var[...] = data[f"rv{bn_idx}"]
+            bn_idx += 1
+    version = data.get("calibration_version")
+    if version is None or int(version) != CALIBRATION_VERSION:
+        return None
+    return {
+        key[len(_CALIBRATION_PREFIX):]: values
+        for key, values in data.items()
+        if key.startswith(_CALIBRATION_PREFIX)
+    }
 
 
 def get_bundle(

@@ -225,7 +225,7 @@ class BitFlipInjector:
         draw shape, and its values only matter on the legacy
         measure-per-call MSB fallback (no ``msb_per_layer`` table).
 
-        This is the dedup primitive of the pruning runtime
+        This is the dedup primitive of the batched runtime's lanes walk
         (:meth:`repro.nn.quantize.QuantizedNetwork.evaluate_trials`):
         two trials whose plans are byte-identical produce byte-identical
         tensors from the same base accumulators, and an empty plan

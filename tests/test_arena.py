@@ -370,3 +370,42 @@ class TestCliExit:
         for name in published:
             with pytest.raises(FileNotFoundError):
                 _open_shm(name).close()
+
+
+#: Publishes one segment through the default arena, then exits without
+#: closing any engine, as a library caller does (argv: the key).
+_LIBRARY_PUBLISH = """
+import sys
+import numpy as np
+from repro.engine.arena import default_arena
+
+assert default_arena().publish(sys.argv[1], {"acts": np.arange(4096)})
+"""
+
+
+@pytest.mark.concurrency
+class TestLibraryExit:
+    def test_exit_without_engine_close_leaves_no_segments(self, tmp_path):
+        """A process that published but never called ``SimEngine.close()``
+        still reclaims its segments: the arena's exit hook drops the
+        lease, then sweeps what no live process leases."""
+        from repro.engine.arena import _open_shm, _segment_name
+
+        registry = tmp_path / "arena"
+        key = f"library-exit {tmp_path}"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            REPRO_ARENA_DIR=str(registry),
+        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _LIBRARY_PUBLISH, key],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert sorted(p.name for p in registry.iterdir() if p.name != ".lock") == []
+            with pytest.raises(FileNotFoundError):
+                _open_shm(_segment_name(key)).close()
+        finally:
+            OperandArena(registry).sweep()  # reclaim even when the test fails

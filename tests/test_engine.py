@@ -10,7 +10,9 @@ cover the planner's output-channel permutation (always a bijection) and
 the result cache (hits are byte-identical to cold runs).
 """
 
+import struct
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -208,10 +210,50 @@ class TestResultCache:
         assert not path.exists()  # removed so it cannot keep missing
         assert cache.load(key, job) is None
 
+    def test_corrupt_deflate_stream_is_a_miss(self, tmp_path):
+        # A member whose deflate stream is damaged raises zlib.error, not
+        # BadZipFile; it must be a miss that deletes the entry too, or
+        # every rerun would trip over the same file.
+        cache = ResultCache(tmp_path)
+        job = make_job(seed=15)
+        key = job.key()
+        cache.store(key, job, SimEngine(backend="vector", use_cache=False).run(job))
+        path = cache.path_for(key)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("ter.npy")
+        assert info.compress_type == zipfile.ZIP_DEFLATED
+        blob = bytearray(path.read_bytes())
+        local = info.header_offset
+        name_len, extra_len = struct.unpack_from("<HH", blob, local + 26)
+        payload = local + 30 + name_len + extra_len
+        # 0xFF opens a final block of the reserved deflate block type.
+        blob[payload : payload + info.compress_size] = b"\xff" * info.compress_size
+        path.write_bytes(bytes(blob))
+        assert cache.load(key, job) is None
+        assert not path.exists()
+
+    def test_refused_zip_header_field_is_a_miss(self, tmp_path):
+        # zipfile refuses a member whose central-directory record claims
+        # encryption (RuntimeError) or an unknown compression method
+        # (NotImplementedError); both are damaged entries, hence misses.
+        cache = ResultCache(tmp_path)
+        job = make_job(seed=16)
+        key = job.key()
+        result = SimEngine(backend="vector", use_cache=False).run(job)
+        path = cache.path_for(key)
+        for offset, value in ((8, b"\x01\x00"), (10, b"\x63\x00")):  # flags, method
+            cache.store(key, job, result)
+            blob = bytearray(path.read_bytes())
+            record = blob.index(b"PK\x01\x02")  # first central-directory record
+            blob[record + offset : record + offset + 2] = value
+            path.write_bytes(bytes(blob))
+            assert cache.load(key, job) is None
+            assert not path.exists()
+
     def test_non_decode_error_propagates_and_keeps_the_entry(self, tmp_path, monkeypatch):
-        # Only decode errors mark an entry corrupt; anything else (e.g. a
-        # spurious SystemError from concurrent np.load header parses)
-        # must surface without deleting a valid entry.
+        # Only decode errors mark an entry corrupt; anything else (here a
+        # SystemError, standing for an interpreter fault or a bug in a
+        # deserializer) must surface without deleting a valid entry.
         engine = SimEngine(backend="vector", cache_dir=tmp_path)
         job = make_job(seed=14)
         engine.run(job)
@@ -314,17 +356,16 @@ class TestCacheReadPath:
 
     def test_load_reads_each_member_once(self, tmp_path, monkeypatch):
         cache, (job,) = self.stored(tmp_path)
-        with np.load(cache.path_for(job.key())) as data:
-            members = len(data.files)
-            npz_file = type(data)
-        original = npz_file.__getitem__
+        with zipfile.ZipFile(cache.path_for(job.key())) as archive:
+            members = len(archive.namelist())
+        original = zipfile.ZipFile.read
         calls = []
 
-        def counting(self, name):
-            calls.append(name)
-            return original(self, name)
+        def counting(self, name, pwd=None):
+            calls.append(getattr(name, "filename", name))
+            return original(self, name, pwd)
 
-        monkeypatch.setattr(npz_file, "__getitem__", counting)
+        monkeypatch.setattr(zipfile.ZipFile, "read", counting)
         reports = cache.load(job.key(), job)
         assert len(reports) == len(job.corners)
         assert sorted(calls) == sorted(set(calls)) and len(calls) == members
