@@ -37,54 +37,77 @@ True
 True
 """
 
-from .arch import (
-    PAPER_ARRAY,
-    AcceleratorConfig,
-    Dataflow,
-    LayerReliabilityReport,
-    SystolicArraySimulator,
-)
-from .core import (
-    BalancedSignClusterer,
-    LayerMappingPlan,
-    LutCostModel,
-    MappingStrategy,
-    NetworkMappingPlan,
-    count_sign_flips,
-    plan_layer,
-    plan_network,
-    sort_input_channels,
-)
-from .engine import (
-    SimEngine,
-    SimJob,
-    backend_names,
-    configure_default_engine,
-    default_engine,
-    get_backend,
-    job_key,
-    register_backend,
-)
-from .errors import (
-    ConfigurationError,
-    MappingError,
-    MappingFallbackWarning,
-    QuantizationError,
-    ReproError,
-    ShapeError,
-    TrainingError,
-)
-from .hw import (
-    PAPER_CORNERS,
-    TER_EVAL_CORNER,
-    DelayModel,
-    DynamicTimingAnalyzer,
-    MacConfig,
-    MacUnit,
-    PvtaCondition,
-    StaticTimingAnalyzer,
-    corner_by_name,
-)
+import importlib
+
+#: Where each public name lives.  The names load on first access (PEP
+#: 562), so ``import repro`` imports no submodule and no numpy: the
+#: ``python -m repro`` entry point must set BLAS threading before numpy
+#: loads.
+_EXPORTS = {
+    "arch": (
+        "PAPER_ARRAY",
+        "AcceleratorConfig",
+        "Dataflow",
+        "LayerReliabilityReport",
+        "SystolicArraySimulator",
+    ),
+    "core": (
+        "BalancedSignClusterer",
+        "LayerMappingPlan",
+        "LutCostModel",
+        "MappingStrategy",
+        "NetworkMappingPlan",
+        "count_sign_flips",
+        "plan_layer",
+        "plan_network",
+        "sort_input_channels",
+    ),
+    "engine": (
+        "SimEngine",
+        "SimJob",
+        "backend_names",
+        "configure_default_engine",
+        "default_engine",
+        "get_backend",
+        "job_key",
+        "register_backend",
+    ),
+    "errors": (
+        "ConfigurationError",
+        "MappingError",
+        "MappingFallbackWarning",
+        "QuantizationError",
+        "ReproError",
+        "ShapeError",
+        "TrainingError",
+    ),
+    "hw": (
+        "PAPER_CORNERS",
+        "TER_EVAL_CORNER",
+        "DelayModel",
+        "DynamicTimingAnalyzer",
+        "MacConfig",
+        "MacUnit",
+        "PvtaCondition",
+        "StaticTimingAnalyzer",
+        "corner_by_name",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "1.0.0"
 

@@ -12,8 +12,10 @@ Each experiment subcommand prints the same rows/series the paper reports
 (as text tables; this library is plot-free by design) and carries its own
 ``--help`` with a one-line description and an example invocation.  The
 engine flags apply to every job the runners submit: ``--backend`` selects
-the simulator implementation, ``--jobs`` fans cache-missing work out over
-worker processes, and ``--no-cache`` disables the on-disk result cache.
+the simulator implementation, ``--jobs N`` fans cache-missing work out
+over N worker processes (``1``, the default, over one per usable CPU,
+since ``python -m repro`` pins BLAS to one thread), and ``--no-cache``
+disables the on-disk result cache.
 
 ``read-repro all`` goes through the orchestrator
 (:func:`repro.experiments.run_all`): every figure's job batches run in
@@ -76,7 +78,10 @@ def _engine_flags(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker processes for engine jobs (default: $REPRO_JOBS or 1)",
+        help=(
+            "worker processes for engine jobs; 1 uses one per usable CPU "
+            "(default: $REPRO_JOBS or 1)"
+        ),
     )
     parser.add_argument(
         "--no-cache",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..faults.ber import ber_from_ter
 from .lut import LutCostModel
 from .pipeline import MappingStrategy
 
@@ -81,6 +80,9 @@ def optimize_deployment(
     lut_budget_bytes:
         Total activation-LUT storage available across layers.
     """
+    # Lazy: the faults package imports the engine, which imports core.
+    from ..faults.ber import ber_from_ter
+
     if lut_budget_bytes < 0:
         raise ConfigurationError("lut_budget_bytes must be non-negative")
     lut_model = lut_model or LutCostModel()

@@ -28,11 +28,12 @@ relabelled jobs still hit the cache.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -62,6 +63,25 @@ _PLAN_CACHE: "OrderedDict[str, LayerMappingPlan]" = OrderedDict()
 _PLAN_CACHE_MAX = 128
 
 
+def memoized_key(derive: Callable[[Any], str]) -> Callable[[Any], str]:
+    """Decorate a job's ``key`` method so it derives the key once per object.
+
+    Jobs are frozen, so a derived key cannot go stale; the orchestrator
+    keys every planned job, and the scheduler reads the same key again
+    when the job is submitted.
+    """
+
+    @functools.wraps(derive)
+    def key(self) -> str:
+        value = self.__dict__.get("_key")
+        if value is None:
+            value = derive(self)
+            object.__setattr__(self, "_key", value)
+        return value
+
+    return key
+
+
 class EngineJob(ABC):
     """Abstract unit of engine work: hash, diagnose, execute, (de)serialize.
 
@@ -79,6 +99,17 @@ class EngineJob(ABC):
     @abstractmethod
     def key(self) -> str:
         """Content-addressed cache key (hex SHA-256)."""
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickled state, without the memoized key.
+
+        Every process derives keys from its own code: a daemon running
+        other code than its client must not file the results it computes
+        under the client's keys.
+        """
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
 
     def check(self) -> None:
         """Submit-time diagnostic run in the submitting process.
@@ -261,6 +292,7 @@ class SimJob(EngineJob):
         """Run this job on the engine's configured simulation backend."""
         return backend_factory().run(self)
 
+    @memoized_key
     def key(self) -> str:
         """Content-addressed cache key (hex SHA-256)."""
         return job_key(self)
@@ -368,6 +400,7 @@ class NetworkJob(EngineJob):
                     f"NetworkJob stacks SimJobs only, got {type(job).__name__}"
                 )
 
+    @memoized_key
     def key(self) -> str:
         h = hashlib.sha256()
         _feed(h, "repro-networkjob", CACHE_SCHEMA_VERSION, len(self.jobs))

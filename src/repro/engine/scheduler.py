@@ -8,10 +8,12 @@ result per job, in submission order.  Per job it
 1. consults the on-disk :class:`~repro.engine.cache.ResultCache` (keyed
    by the job's content hash) and **deduplicates** same-key jobs within
    the batch so shared work is computed once;
-2. dispatches the misses — inline when ``jobs == 1``, over a
-   ``concurrent.futures.ProcessPoolExecutor`` otherwise (both TER
-   evaluation and injection trials are embarrassingly parallel across
-   jobs);
+2. dispatches the misses — over a
+   ``concurrent.futures.ProcessPoolExecutor`` of ``jobs`` workers when
+   ``jobs > 1``; at ``jobs == 1`` over one worker per usable CPU when
+   BLAS is pinned to one thread (:func:`_default_workers`), inline
+   otherwise (both TER evaluation and injection trials are
+   embarrassingly parallel across jobs);
 3. stores fresh results back into the cache.
 
 A process-wide *default engine* carries the CLI's ``--backend`` /
@@ -106,6 +108,23 @@ def _drained_counters() -> Dict[str, int]:
     from ..faults.injection_job import drain_runtime_counters
 
     return drain_runtime_counters()
+
+
+def _default_workers() -> int:
+    """Worker processes a ``jobs=1`` engine spreads a batch's misses over.
+
+    One per usable CPU when BLAS runs one thread per process —
+    ``python -m repro`` sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+    loads, and forked workers inherit it — and 1 (inline) otherwise:
+    workers that each start a multi-threaded BLAS put more busy threads
+    than cores on the host, which measured slower than one process.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _fused_units(
@@ -258,8 +277,11 @@ class SimEngine:
         consulted by job kinds that simulate on the array
         (:class:`~repro.engine.job.SimJob`).
     jobs:
-        Worker processes for cache-missing work.  ``1`` (default) runs
-        inline; higher values fan out over a process pool.
+        Worker processes for cache-missing work; higher values fan out
+        over a process pool.  ``1`` (default) runs inline, or — in a
+        process whose BLAS is pinned to one thread, as under ``python -m
+        repro``, and without ``keep_pool`` — spreads :meth:`run_many`
+        batches over one worker per usable CPU (:func:`_default_workers`).
     use_cache:
         Consult/populate the on-disk result cache.
     cache_dir:
@@ -290,6 +312,9 @@ class SimEngine:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.backend_name = backend
         self.jobs = jobs
+        #: Pool size for :meth:`run_many` (1: inline).  A daemon's hot
+        #: pool (``keep_pool``) keeps ``jobs`` workers.
+        self.workers = jobs if jobs > 1 or keep_pool else _default_workers()
         self.keep_pool = keep_pool
         self.remote = remote
         self._persistent_pool: Optional[ProcessPoolExecutor] = None
@@ -453,7 +478,7 @@ class SimEngine:
         Cache hits are returned without computing; within the batch,
         same-key jobs are deduplicated (computed once, shared); the
         remaining misses run on the configured backend, in parallel when
-        ``self.jobs > 1``.  Deduplication requires the cache to be
+        ``self.workers > 1``.  Deduplication requires the cache to be
         enabled — with ``use_cache=False`` no keys are derived and every
         job is executed as submitted.
 
@@ -533,8 +558,8 @@ class SimEngine:
         # inside the backend does not repeat it (plans_diagnosed, here
         # and in _execute_job).
         factory = backend_factory(self.backend_name)
-        if len(pending) > 1 and self.jobs > 1:
-            workers = min(self.jobs, len(pending))
+        if len(pending) > 1 and self.workers > 1:
+            workers = min(self.workers, len(pending))
             units = _fused_units(jobs, pending, workers, factory)
             with self._acquire_pool(workers) as pool:
                 futures = {

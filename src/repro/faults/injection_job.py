@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.job import EngineJob, feed_hash
+from ..engine.job import EngineJob, feed_hash, memoized_key
 from ..errors import ConfigurationError
 from ..nn.quantize import FaultFreePass, TrialBatchStats, canonical_bits
 from .injection import BitFlipInjector, active_msb_from_max, measure_active_msbs
@@ -636,6 +636,7 @@ class InjectionJob(EngineJob):
             self.bit_high,
         )
 
+    @memoized_key
     def key(self) -> str:
         h = hashlib.sha256()
         feed_hash(h, "repro-injectionjob", INJECTION_SCHEMA_VERSION)
@@ -821,6 +822,7 @@ class InjectionShard(EngineJob):
     def n_trials(self) -> int:
         return self.trial_hi - self.trial_lo
 
+    @memoized_key
     def key(self) -> str:
         h = hashlib.sha256()
         feed_hash(h, "repro-injectionshard", INJECTION_SCHEMA_VERSION)
