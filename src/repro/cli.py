@@ -478,6 +478,9 @@ def _run_serve(args) -> int:
     )
     # Exported via the environment so the daemon's pool workers inherit it.
     configure_injection_runtime(args.injection_runtime)
+    # Bundles the daemon loads file their clean accuracy through the
+    # process default engine: give it the daemon's cache choice.
+    configure_default_engine(use_cache=not args.no_cache)
     server = EngineServer(
         socket_path,
         backend=args.backend,

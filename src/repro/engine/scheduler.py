@@ -14,7 +14,8 @@ result per job, in submission order.  Per job it
    BLAS is pinned to one thread (:func:`_default_workers`), inline
    otherwise (both TER evaluation and injection trials are
    embarrassingly parallel across jobs);
-3. stores fresh results back into the cache.
+3. stores each fresh result back into the cache as it lands, so a
+   failing job loses none of its batch's finished work.
 
 A process-wide *default engine* carries the CLI's ``--backend`` /
 ``--jobs`` / ``--no-cache`` choices (or their ``REPRO_BACKEND`` /
@@ -554,6 +555,15 @@ class SimEngine:
                 first_index_for_key[keys[i]] = i
             pending.append(i)
 
+        def finish(i: int, result: object) -> None:
+            # Stored as it lands: a job that fails later in the batch
+            # costs no finished work.
+            results[i] = result
+            self.stats.misses += 1
+            if self.cache is not None:
+                assert keys[i] is not None
+                self.cache.store(keys[i], jobs[i], result)
+
         # check() above already diagnosed every job, so the planner
         # inside the backend does not repeat it (plans_diagnosed, here
         # and in _execute_job).
@@ -566,41 +576,41 @@ class SimEngine:
                     pool.submit(_execute_job, factory, unit): idxs
                     for idxs, unit in units
                 }
-                for future in as_completed(futures):
-                    idxs = futures[future]
-                    value, counters = future.result()
-                    self._merge_counters(counters)
-                    if len(idxs) == 1:
-                        results[idxs[0]] = value
-                    else:
-                        for i, result in zip(idxs, value):
-                            results[i] = result
+                try:
+                    for future in as_completed(futures):
+                        idxs = futures[future]
+                        value, counters = future.result()
+                        self._merge_counters(counters)
+                        for i, result in zip(idxs, [value] if len(idxs) == 1 else value):
+                            finish(i, result)
+                except BaseException:
+                    # Withdraw the units no worker has started, so the
+                    # error surfaces without running the rest of the batch.
+                    for future in futures:
+                        future.cancel()
+                    raise
         else:
             with plans_diagnosed():
                 _drained_counters()  # not ours: accumulated outside the engine
-                sim_pending = [i for i in pending if isinstance(jobs[i], SimJob)]
-                if len(sim_pending) > 1:
-                    # Stack all missing simulations through one
-                    # run_network call; a loop-only backend's default
-                    # is exactly the per-job loop this replaces.
-                    batch = factory().run_network([jobs[i] for i in sim_pending])
-                    for i, result in zip(sim_pending, batch):
-                        results[i] = result
-                    for i in pending:
-                        if not isinstance(jobs[i], SimJob):
-                            results[i] = jobs[i].execute(factory)
-                else:
-                    for i in pending:
-                        results[i] = jobs[i].execute(factory)
-                self._merge_counters(_drained_counters())
+                try:
+                    sim_pending = [i for i in pending if isinstance(jobs[i], SimJob)]
+                    if len(sim_pending) > 1:
+                        # Stack all missing simulations through one
+                        # run_network call; a loop-only backend's default
+                        # is exactly the per-job loop this replaces.
+                        batch = factory().run_network([jobs[i] for i in sim_pending])
+                        for i, result in zip(sim_pending, batch):
+                            finish(i, result)
+                        rest = [i for i in pending if not isinstance(jobs[i], SimJob)]
+                    else:
+                        rest = pending
+                    for i in rest:
+                        finish(i, jobs[i].execute(factory))
+                finally:
+                    self._merge_counters(_drained_counters())
 
         if any(jobs[i].kind == "sim" for i in pending):
             self.used_backends.add(self.backend_name)
-        for i in pending:
-            self.stats.misses += 1
-            if self.cache is not None:
-                assert keys[i] is not None
-                self.cache.store(keys[i], jobs[i], results[i])
         for i, source in duplicate_of.items():
             results[i] = results[source]
             self.stats.deduped += 1
@@ -702,19 +712,24 @@ class SimEngine:
                         done[i] = True
                         continue
                     futures[pool.submit(_execute_job, factory, jobs[i])] = i
-                for future in as_completed(list(futures)):
-                    i = futures[future]
-                    if future.cancelled():
-                        self.stats.cancelled += 1
-                        done[i] = True
-                        continue
-                    value, counters = future.result()
-                    self._merge_counters(counters)
-                    record(i, value)
-                    if cancel_requested:
-                        for fut, j in futures.items():
-                            if j in cancel_requested and not fut.done():
-                                fut.cancel()
+                try:
+                    for future in as_completed(list(futures)):
+                        i = futures[future]
+                        if future.cancelled():
+                            self.stats.cancelled += 1
+                            done[i] = True
+                            continue
+                        value, counters = future.result()
+                        self._merge_counters(counters)
+                        record(i, value)
+                        if cancel_requested:
+                            for fut, j in futures.items():
+                                if j in cancel_requested and not fut.done():
+                                    fut.cancel()
+                except BaseException:
+                    for future in futures:  # as in _run_flat
+                        future.cancel()
+                    raise
         else:
             with plans_diagnosed():
                 _drained_counters()  # not ours: accumulated outside the engine

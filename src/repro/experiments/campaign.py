@@ -62,6 +62,7 @@ from .common import (
     ALL_STRATEGIES,
     ExperimentScale,
     bundle_ter_batch,
+    clean_accuracy,
     get_bundle,
     get_scale,
     render_table,
@@ -235,9 +236,7 @@ def run_campaign(
         # Fault-free baseline: clean top-k accuracy of the injected
         # slice, the anchor every cell's interval is compared against.
         n_base = scale.inject_n
-        base_acc = bundle.qnet.evaluate(
-            bundle.x_test[:n_base], bundle.y_test[:n_base], topk=topk
-        )
+        base_acc = clean_accuracy(bundle, topk, engine)
         base_correct = int(round(base_acc * n_base))
         baseline_ci = wilson_interval(base_correct, n_base)
 

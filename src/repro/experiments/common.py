@@ -8,7 +8,9 @@
   the paper's model/dataset combinations and returns the float model, the
   calibrated quantized network and the evaluation data.  The on-disk
   state holds the trained parameters and the quantizer's calibration
-  observations, so a reload runs no forward pass.
+  observations, and the clean accuracy is a result-cache entry
+  (:func:`clean_accuracy`), so a warm reload runs no forward pass; the
+  test split is drawn only as far as a caller reads it.
 * :func:`layer_ter_batch` — the central measurement: replay each GEMM
   layer's real quantized operand stream through the systolic-array DTA
   under every requested strategy and PVTA corner.  It is a batch of
@@ -39,8 +41,10 @@ from ..core.signflip import paper_sign
 from ..engine import EngineJob, SimEngine, SimJob, cache_root, default_engine
 from ..engine.cache import read_npz
 from ..errors import ConfigurationError
+from ..faults.evaluate import injection_job_for_bundle
+from ..faults.injection_job import run_injection_trials
 from ..hw.variations import PvtaCondition
-from ..nn.datasets import load_dataset
+from ..nn.datasets import SyntheticImageDataset, load_dataset
 from ..nn.layers import BatchNorm2d
 from ..nn.models import ClassifierNetwork, build_model
 from ..nn.quantize import (
@@ -73,6 +77,24 @@ class ExperimentScale:
     ter_images: int      # images forwarded to record operand streams
     inject_n: int        # test images used in fault-injection accuracy
     n_trials: int        # repeated injection trials per corner
+
+    def __post_init__(self) -> None:
+        # Every runner reads its images off the front of the n_test-image
+        # split, so a slice larger than the split would silently shrink
+        # to it while job keys and manifests still named the larger count.
+        for name in (
+            "n_train", "n_test", "epochs", "ter_pixels", "ter_images", "inject_n", "n_trials"
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"scale {self.name!r}: {name} must be >= 1")
+        if not self.width > 0:
+            raise ConfigurationError(f"scale {self.name!r}: width must be > 0")
+        for name in ("ter_images", "inject_n"):
+            if getattr(self, name) > self.n_test:
+                raise ConfigurationError(
+                    f"scale {self.name!r}: {name} {getattr(self, name)} exceeds "
+                    f"n_test {self.n_test}"
+                )
 
 
 SCALES: Dict[str, ExperimentScale] = {
@@ -119,23 +141,62 @@ MODEL_RECIPES: Dict[str, Tuple[str, str]] = {
 
 @dataclass
 class TrainedBundle:
-    """A trained model plus everything the experiments consume."""
+    """A trained model plus everything the experiments consume.
+
+    The test split is drawn on demand, and only as far as a caller reads
+    it (:meth:`test_images`): a warm run that records one image per
+    bundle draws one image.
+    """
 
     recipe: str
     model: ClassifierNetwork
     #: QuantizedNetwork or QuantizedTokenNetwork (same experiment surface).
     qnet: object
-    x_test: np.ndarray
-    y_test: np.ndarray
-    quant_accuracy: float
     scale: ExperimentScale
+    dataset: SyntheticImageDataset = field(repr=False, compare=False)
+    #: Training/dataset seed (``get_bundle``'s ``seed``).
+    seed: int = 0
     #: Per-layer quantization bit widths (resolved, name-sorted) and the
     #: default applied to unlisted layers — the mixed-precision axis.
     bits_per_layer: Tuple[Tuple[str, int], ...] = ()
     default_bits: int = 8
+    #: Clean top-1 accuracy of the injected slice (:func:`clean_accuracy`),
+    #: set by :func:`get_bundle`.
+    quant_accuracy: float = field(init=False)
+    _test: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _streams: Dict[int, Dict[str, object]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def test_images(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The first ``n`` images and labels of the ``scale.n_test``-image split.
+
+        Bit-identical to the same prefix of the whole split
+        (:meth:`~repro.nn.datasets.SyntheticImageDataset.sample`'s
+        ``count``).  The longest prefix asked for so far is kept; a longer
+        request draws again, up to its own length.
+        """
+        if not 0 <= n <= self.scale.n_test:
+            raise ConfigurationError(
+                f"{n} test image(s) requested; scale {self.scale.name!r} has "
+                f"{self.scale.n_test}"
+            )
+        if self._test is None or self._test[0].shape[0] < n:
+            self._test = self.dataset.test_split(self.scale.n_test, seed=self.seed, count=n)
+        x, y = self._test
+        return x[:n], y[:n]
+
+    @property
+    def x_test(self) -> np.ndarray:
+        """The whole test split's images (drawn on first read)."""
+        return self.test_images(self.scale.n_test)[0]
+
+    @property
+    def y_test(self) -> np.ndarray:
+        """The whole test split's labels (drawn on first read)."""
+        return self.test_images(self.scale.n_test)[1]
 
     def operand_streams(self, n_images: int) -> Dict[str, object]:
         """The operand streams of the first ``n_images`` test images.
@@ -150,7 +211,7 @@ class TrainedBundle:
         """
         streams = self._streams.get(n_images)
         if streams is None:
-            recorded = record_operand_streams(self.qnet, self.x_test[:n_images])
+            recorded = record_operand_streams(self.qnet, self.test_images(n_images)[0])
             streams = {
                 name: tuple(map(_narrowed, value))
                 if isinstance(value, tuple)
@@ -279,10 +340,12 @@ def get_bundle(
 
     The snapshot also holds the calibration observations of the float
     pass, which do not depend on the bit widths either; a reload
-    restores the activation scales from them and draws only the test
-    split.  A snapshot without them (written by an older version, or by
-    :func:`save_model_state` without ``calibration``) is calibrated once
-    and rewritten.
+    restores the activation scales from them.  A snapshot without them
+    (written by an older version, or by :func:`save_model_state` without
+    ``calibration``) is calibrated once and rewritten.  The clean
+    accuracy comes from the default engine's result cache
+    (:func:`clean_accuracy`), so a warm reload runs no forward pass and
+    draws no test image until a caller reads one.
     """
     scale = scale or get_scale()
     bits = canonical_bits(bits_per_layer, default_bits)
@@ -316,22 +379,46 @@ def get_bundle(
     else:
         qnet = quantize_model(model, bits_per_layer=dict(bits), default_bits=default_bits)
         qnet.restore_calibration(calibration)
-    x_test, y_test = dataset.test_split(scale.n_test, seed=seed)
-    quant_acc = qnet.evaluate(x_test[: scale.inject_n], y_test[: scale.inject_n])
-
     bundle = TrainedBundle(
         recipe=recipe,
         model=model,
         qnet=qnet,
-        x_test=x_test,
-        y_test=y_test,
-        quant_accuracy=quant_acc,
         scale=scale,
+        dataset=dataset,
+        seed=seed,
         bits_per_layer=bits,
         default_bits=default_bits,
     )
+    bundle.quant_accuracy = clean_accuracy(bundle)
     _BUNDLE_CACHE[key] = bundle
     return bundle
+
+
+def clean_accuracy(
+    bundle: TrainedBundle, topk: int = 1, engine: Optional[SimEngine] = None
+) -> float:
+    """Clean quantized top-``topk`` accuracy of the bundle's injected slice.
+
+    The value is the result of the fault-free :class:`InjectionJob` on
+    the bundle (empty BER table, one trial), which
+    :func:`~repro.faults.run_injection_trials` short-circuits to one
+    ``evaluate`` over the first ``scale.inject_n`` test images.  It is
+    read from and filed in ``engine``'s result cache (default: the
+    process engine) under that job's key, directly rather than through
+    ``run_many``, so it counts in no engine summary.  An engine without
+    a cache evaluates every time and stores nothing.
+    """
+    job = injection_job_for_bundle(bundle, {}, n_trials=1, topk=topk)
+    cache = (engine or default_engine()).cache
+    result = cache.load(job.key(), job) if cache is not None else None
+    if result is None:
+        x, y = bundle.test_images(job.inject_n)
+        result = run_injection_trials(
+            bundle.qnet, x, y, {}, n_trials=1, topk=topk, batch_size=job.batch_size
+        )
+        if cache is not None:
+            cache.store(job.key(), job, result)
+    return result.trial_accuracies[0]
 
 
 # ---------------------------------------------------------------------- #

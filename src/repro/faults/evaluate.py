@@ -109,13 +109,14 @@ def injection_job_for_bundle(
     """Express one campaign on a trained bundle as a schedulable job.
 
     ``inject_n`` and ``n_trials`` default to the bundle's experiment
-    scale, matching the figure runners; the bundle's mixed-precision
-    bit widths travel with the job so workers rebuild the identical
-    quantized network.
+    scale, matching the figure runners; the bundle's seed and
+    mixed-precision bit widths travel with the job so workers rebuild
+    the identical quantized network.
     """
     return InjectionJob(
         recipe=bundle.recipe,
         scale=bundle.scale,
+        bundle_seed=bundle.seed,
         bers=ber_per_layer,
         inject_n=inject_n if inject_n is not None else bundle.scale.inject_n,
         n_trials=n_trials if n_trials is not None else bundle.scale.n_trials,

@@ -199,8 +199,8 @@ def _pass_cache_get(key: Tuple, build) -> "FaultFreePass":
 # accumulators — the dominant per-process cost and RSS of a batched
 # campaign) in the host-wide arena (:mod:`repro.engine.arena`), so every
 # process after the first attaches it zero-copy instead of recomputing.
-# The lowered GEMM weights are not shared: ``get_bundle``'s clean
-# evaluation lowers them in every process that loads the bundle.
+# The lowered GEMM weights are not shared: each process lowers them on
+# its first quantized pass over the bundle.
 #
 # Payloads round-trip as raw bytes, so arena-served operands are
 # bit-identical to locally built ones; any arena failure falls back to a
@@ -598,6 +598,10 @@ class InjectionJob(EngineJob):
                 raise ConfigurationError(
                     f"scale must be an ExperimentScale (missing field {fld!r})"
                 )
+        if self.inject_n > self.scale.n_test:
+            raise ConfigurationError(
+                f"inject_n {self.inject_n} exceeds the scale's n_test {self.scale.n_test}"
+            )
         if self.mode not in ("relative", "absolute"):
             raise ConfigurationError("mode must be 'relative' or 'absolute'")
         if self.runtime:
@@ -687,8 +691,7 @@ class InjectionJob(EngineJob):
             bits_per_layer=self.bits,
             default_bits=self.default_bits,
         )
-        x = bundle.x_test[: self.inject_n]
-        y = bundle.y_test[: self.inject_n]
+        x, y = bundle.test_images(self.inject_n)
         resolved = injection_runtime(self.runtime)
         prefix = None
         msbs = None

@@ -24,7 +24,7 @@ The three paper datasets map to:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -96,22 +96,33 @@ class SyntheticImageDataset:
         return templates
 
     # ------------------------------------------------------------------ #
-    def sample(self, n: int, stream_seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    def sample(
+        self, n: int, stream_seed: int, count: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` images: returns ``(images, labels)``.
 
         Images are float64 in [0, 1] with shape ``(n, C, H, W)``; labels
         are balanced across classes (round-robin then shuffled).
+
+        ``count`` returns only the first ``count`` images of the draw
+        (shape ``(count, C, H, W)``), bit for bit, without drawing the
+        rest: all ``n`` labels are shuffled first, and each image's
+        jitter, noise and normalization use only its own draws.
         """
         spec = self.spec
+        count = n if count is None else count
+        if not 0 <= count <= n:
+            raise ConfigurationError(f"count {count} outside [0, {n}]")
         rng = np.random.default_rng(stream_seed)
         labels = np.arange(n) % spec.n_classes
         rng.shuffle(labels)
+        labels = labels[:count]
 
         size = spec.image_size
         yy, xx = np.meshgrid(
             np.linspace(0, 1, size), np.linspace(0, 1, size), indexing="ij"
         )
-        images = np.zeros((n, spec.channels, size, size))
+        images = np.zeros((count, spec.channels, size, size))
         for i, cls in enumerate(labels):
             template = self._templates[int(cls)]
             img = np.zeros((spec.channels, size, size))
@@ -131,7 +142,7 @@ class SyntheticImageDataset:
             img += rng.normal(0, spec.noise_sigma, size=img.shape)
             images[i] = img
         # normalize each image into [0, 1]
-        flat = images.reshape(n, -1)
+        flat = images.reshape(count, spec.channels * size * size)
         lo = flat.min(axis=1)[:, None]
         hi = flat.max(axis=1)[:, None]
         flat = (flat - lo) / np.maximum(hi - lo, 1e-9)
@@ -141,13 +152,16 @@ class SyntheticImageDataset:
         """The training draw of :meth:`train_test` (stream ``seed*2+1``)."""
         return self.sample(n_train, stream_seed=seed * 2 + 1)
 
-    def test_split(self, n_test: int, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    def test_split(
+        self, n_test: int, seed: int = 0, count: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """The test draw of :meth:`train_test` (stream ``seed*2+2``).
 
         Its stream is independent of the training stream, so a caller
-        that needs only test images draws only them.
+        that needs only test images draws only them; ``count`` draws only
+        the split's first ``count`` images (see :meth:`sample`).
         """
-        return self.sample(n_test, stream_seed=seed * 2 + 2)
+        return self.sample(n_test, stream_seed=seed * 2 + 2, count=count)
 
     def train_test(
         self, n_train: int, n_test: int, seed: int = 0

@@ -1,23 +1,27 @@
-"""The trained-state file: parameters plus calibration observations.
+"""The trained-state file, the clean-accuracy entry and the lazy test split.
 
 A bundle reload restores the quantizer's activation scales from the
 observations stored beside the trained parameters instead of re-running
-the float calibration pass, draws only the test split, and records each
-operand stream once.  These tests pin that the restored state equals a
-fresh calibration bit for bit, that a warm reload does none of the
-skipped work, that older parameters-only files are upgraded once, and
-that importing the CLI does not load ``scipy``.
+the float calibration pass, reads its clean accuracy from the result
+cache instead of evaluating the network, draws test images only as far
+as a caller reads them, and records each operand stream once.  These
+tests pin that the restored state and the cached accuracy equal a fresh
+computation bit for bit, that a warm reload does none of the skipped
+work, that older parameters-only files are upgraded once, and that
+importing the CLI does not load ``scipy``.
 """
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import QuantizationError
+from repro.engine import ResultCache, SimEngine, engine_context
+from repro.errors import ConfigurationError, QuantizationError
 from repro.experiments import common, fig2, fig7, fig9
 from repro.experiments.common import (
     MODEL_RECIPES,
@@ -26,7 +30,8 @@ from repro.experiments.common import (
     record_operand_streams,
     save_model_state,
 )
-from repro.nn.datasets import SyntheticImageDataset, load_dataset
+from repro.faults import injection_job_for_bundle
+from repro.nn.datasets import DATASET_SPECS, SyntheticImageDataset, load_dataset
 from repro.nn.quantize import (
     CALIBRATION_VERSION,
     QuantizedDynamicMatmul,
@@ -173,6 +178,118 @@ class TestBundleReload:
         # A precision variant restores from the same stored observations.
         variant = get_bundle(RECIPE, MICRO, bits_per_layer={"conv0": 4})
         assert variant.qnet.qconvs()[0].act_bits == 4
+
+
+class TestTestImagesOnDemand:
+    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    @pytest.mark.parametrize("count", [0, 1, 7, 24])
+    def test_count_draws_the_prefix_bit_for_bit(self, name, count):
+        dataset = load_dataset(name)
+        x, y = dataset.sample(24, stream_seed=6, count=count)
+        full_x, full_y = dataset.sample(24, stream_seed=6)
+        for got, want in ((x, full_x[:count]), (y, full_y[:count])):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [-1, 25])
+    def test_count_outside_the_draw_raises(self, count):
+        with pytest.raises(ConfigurationError):
+            load_dataset("cifar10_like").sample(24, stream_seed=6, count=count)
+
+    def test_bundle_draws_only_as_far_as_a_caller_reads(self, monkeypatch):
+        bundle = replace(get_bundle(RECIPE, MICRO))  # nothing drawn yet
+        drawn = []
+        test_split = SyntheticImageDataset.test_split
+
+        def counted(self, n_test, seed=0, count=None):
+            drawn.append(count)
+            return test_split(self, n_test, seed, count)
+
+        monkeypatch.setattr(SyntheticImageDataset, "test_split", counted)
+        x1, _ = bundle.test_images(1)
+        bundle.test_images(1)
+        assert drawn == [1]
+        bundle.test_images(MICRO.inject_n)
+        bundle.test_images(1)
+        assert drawn == [1, MICRO.inject_n]
+
+        monkeypatch.setattr(SyntheticImageDataset, "test_split", test_split)
+        full_x, full_y = load_dataset(MODEL_RECIPES[RECIPE][1]).test_split(MICRO.n_test)
+        assert x1.tobytes() == full_x[:1].tobytes()
+        assert bundle.x_test.tobytes() == full_x.tobytes()
+        assert bundle.y_test.tobytes() == full_y.tobytes()
+        with pytest.raises(ConfigurationError):
+            bundle.test_images(MICRO.n_test + 1)
+
+
+@pytest.fixture
+def results(tmp_path, monkeypatch):
+    """A private result cache behind the default engine, and no memoized bundles."""
+    monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+    engine = SimEngine(cache_dir=tmp_path / "results", remote=False)
+    with engine_context(engine):
+        yield engine.cache
+
+
+def fault_free_job(bundle, topk=1):
+    """The injection job whose result the clean-accuracy entry is."""
+    return injection_job_for_bundle(bundle, {}, n_trials=1, topk=topk)
+
+
+class TestCleanAccuracyEntry:
+    def test_equals_a_fresh_evaluate_bit_for_bit(self, results):
+        bundle = get_bundle(RECIPE, MICRO)
+        x, y = bundle.test_images(MICRO.inject_n)
+        fresh = bundle.qnet.evaluate(x, y)
+        assert bundle.quant_accuracy == fresh
+        job = fault_free_job(bundle)
+        assert results.load(job.key(), job).trial_accuracies == (fresh,)
+        # The entry is the fault-free job's own result.
+        assert job.execute().trial_accuracies == (fresh,)
+        assert common.clean_accuracy(bundle, topk=3) == bundle.qnet.evaluate(x, y, topk=3)
+
+    def test_warm_reload_runs_no_forward_and_draws_no_image(self, results, monkeypatch):
+        first = get_bundle(RECIPE, MICRO)
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+        monkeypatch.setattr(QuantizedNetwork, "evaluate", _forbidden)
+        monkeypatch.setattr(QuantizedNetwork, "_forward_nhwc", _forbidden)
+        monkeypatch.setattr(SyntheticImageDataset, "sample", _forbidden)
+        warm = get_bundle(RECIPE, MICRO)
+        assert warm is not first
+        assert warm.quant_accuracy == first.quant_accuracy
+
+    def test_corrupt_entry_is_recomputed_and_rewritten(self, results, monkeypatch):
+        first = get_bundle(RECIPE, MICRO)
+        job = fault_free_job(first)
+        results.path_for(job.key()).write_bytes(b"PK\x03\x04 torn entry")
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+        calls = []
+        evaluate = QuantizedNetwork.evaluate
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantizedNetwork, "evaluate", counted)
+        again = get_bundle(RECIPE, MICRO)
+        assert calls == [MICRO.inject_n]
+        assert again.quant_accuracy == first.quant_accuracy
+        assert results.load(job.key(), job).trial_accuracies == (first.quant_accuracy,)
+
+    def test_uncached_engine_neither_reads_nor_writes(self, results, monkeypatch):
+        expected = get_bundle(RECIPE, MICRO).quant_accuracy
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+        monkeypatch.setattr(ResultCache, "load", _forbidden)
+        monkeypatch.setattr(ResultCache, "store", _forbidden)
+        with engine_context(SimEngine(use_cache=False, remote=False)):
+            assert get_bundle(RECIPE, MICRO).quant_accuracy == expected
+
+    def test_entry_is_keyed_by_the_bundle_seed(self):
+        bundle = get_bundle(RECIPE, MICRO)
+        assert fault_free_job(bundle).bundle_seed == 0
+        other = replace(bundle, seed=1)
+        assert fault_free_job(other).bundle_seed == 1
+        assert fault_free_job(other).key() != fault_free_job(bundle).key()
 
 
 class TestSharedStreams:

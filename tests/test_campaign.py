@@ -45,6 +45,7 @@ from repro.faults import (
 )
 from repro.faults.evaluate import injection_job_for_bundle
 from repro.hw.variations import PAPER_CORNERS
+from repro.nn.quantize import QuantizedNetwork
 
 MICRO = SCALES["micro"]
 RECIPE = "vgg16_cifar10"
@@ -317,6 +318,24 @@ class TestCampaignEndToEnd:
         assert resumed.manifest["run"]["resumed"] is True
         assert engine.stats.misses == 0  # every shard + TER job warm
         assert ", 0 simulated" in engine.stats.describe()
+
+    def test_rerun_serves_the_baseline_from_the_clean_accuracy_entry(
+        self, vgg, warm, tmp_path, monkeypatch
+    ):
+        cache, _, result = warm
+        x, y = vgg.test_images(MICRO.inject_n)
+        assert result.manifest["baseline"]["accuracy"] == vgg.qnet.evaluate(x, y)
+        calls = []
+        evaluate = QuantizedNetwork.evaluate
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantizedNetwork, "evaluate", counted)
+        rerun, _ = micro_campaign(cache, tmp_path)
+        assert calls == []
+        assert rerun.manifest["baseline"] == result.manifest["baseline"]
 
     @pytest.mark.parametrize("kill_after", [0, 2, 5])
     def test_kill_at_shard_then_resume_reproduces_manifest(

@@ -12,6 +12,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,6 +159,92 @@ class TestFanOut:
         assert engine.stats.misses == len(unique)
         assert engine.stats.deduped == len(twins)
         assert engine.stats.trials_deduped == deduped
+
+
+@dataclass(frozen=True, eq=False)
+class _MarkJob(EngineJob):
+    """Sleeps, leaves a marker file named ``n`` in ``marks``, returns ``n``.
+
+    With ``fail`` it raises instead, once ``wait_for`` markers exist (so
+    the jobs it waits for have finished before it fails).
+    """
+
+    n: int
+    marks: str
+    sleep_s: float = 0.0
+    fail: bool = False
+    wait_for: int = 0
+    kind = "mark"
+
+    def key(self) -> str:
+        return f"mark-{self.n}"
+
+    def execute(self, backend_factory=None):
+        deadline = time.monotonic() + TIMEOUT_S
+        while len(os.listdir(self.marks)) < self.wait_for and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(self.sleep_s)
+        Path(self.marks, str(self.n)).touch()
+        if self.fail:
+            raise RuntimeError(f"job {self.n} failed")
+        return self.n
+
+    serialize_result = staticmethod(lambda result: {"n": np.asarray(result)})
+    deserialize_result = staticmethod(lambda data: int(data["n"]))
+
+
+class TestFailedBatch:
+    """A job that raises keeps its batch's finished results and stops the rest."""
+
+    @pytest.fixture
+    def marks(self, tmp_path):
+        path = tmp_path / "marks"
+        path.mkdir()
+        return path
+
+    def test_pool_stores_results_that_landed_before_the_failure(self, tmp_path, marks):
+        others = [_MarkJob(n, str(marks), sleep_s=0.02) for n in range(1, 10)]
+        # Fails once the other nine have run (plus a margin for their
+        # results to reach the parent first).
+        failing = _MarkJob(0, str(marks), sleep_s=0.2, fail=True, wait_for=len(others))
+        engine = SimEngine(jobs=2, cache_dir=tmp_path / "results", remote=False)
+        with pytest.raises(RuntimeError, match="job 0 failed"):
+            engine.run_many([failing, *others])
+        assert engine.stats.misses == len(others)
+        rerun = SimEngine(jobs=2, cache_dir=tmp_path / "results", remote=False)
+        assert rerun.run_many(others) == list(range(1, 10))
+        assert rerun.stats.hits == len(others)
+
+    @pytest.mark.parametrize("keep_pool", [False, True])
+    @pytest.mark.parametrize("method", ["run_many", "run_stream"])
+    def test_pool_cancels_the_units_no_worker_started(
+        self, tmp_path, marks, method, keep_pool
+    ):
+        jobs = [_MarkJob(0, str(marks), fail=True)]
+        jobs += [_MarkJob(n, str(marks), sleep_s=0.3) for n in range(1, 10)]
+        engine = SimEngine(
+            jobs=2, cache_dir=tmp_path / "results", keep_pool=keep_pool, remote=False
+        )
+        try:
+            with pytest.raises(RuntimeError, match="job 0 failed"):
+                getattr(engine, method)(jobs)
+        finally:
+            engine.close()  # a kept pool drains whatever it still holds
+        assert len(os.listdir(marks)) < len(jobs)
+
+    def test_inline_stores_results_computed_before_the_failure(
+        self, tmp_path, marks, monkeypatch
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # jobs=1 runs inline
+        jobs = [_MarkJob(n, str(marks), fail=n == 3) for n in range(5)]
+        engine = SimEngine(jobs=1, cache_dir=tmp_path / "results", remote=False)
+        with pytest.raises(RuntimeError, match="job 3 failed"):
+            engine.run_many(jobs)
+        assert engine.workers == 1
+        assert sorted(os.listdir(marks)) == ["0", "1", "2", "3"]
+        rerun = SimEngine(jobs=1, cache_dir=tmp_path / "results", remote=False)
+        assert rerun.run_many(jobs[:3] + jobs[4:]) == [0, 1, 2, 4]
+        assert (rerun.stats.hits, rerun.stats.misses) == (3, 1)
 
 
 class TestJobKeyMemo:

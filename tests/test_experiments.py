@@ -6,6 +6,8 @@ Each test asserts the *qualitative* property the corresponding figure
 demonstrates — the same properties EXPERIMENTS.md reports quantitatively.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,29 @@ class TestCommon:
     def test_bundle_memo_cache(self, vgg_bundle):
         again = get_bundle("vgg16_cifar10", TINY)
         assert again is vgg_bundle
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"inject_n": TINY.n_test + 1},
+            {"ter_images": TINY.n_test + 1},
+            {"n_train": 0},
+            {"n_test": 0},
+            {"epochs": 0},
+            {"ter_pixels": 0},
+            {"ter_images": 0},
+            {"inject_n": 0},
+            {"n_trials": -1},
+            {"width": 0.0},
+        ],
+    )
+    def test_scale_rejects_counts_the_test_split_cannot_serve(self, changes):
+        with pytest.raises(ConfigurationError):
+            replace(TINY, **changes)
+
+    def test_named_scales_are_valid(self):
+        for scale in SCALES.values():
+            assert replace(scale) == scale
 
     def test_render_table_alignment(self):
         table = render_table(["a", "bb"], [[1, 2.5], ["xyz", 3e-7]])

@@ -96,6 +96,10 @@ class TestJobKey:
             make_job(bundle, n_trials=0)
         with pytest.raises(ConfigurationError):
             InjectionJob(recipe="x", scale=MICRO, bers={}, inject_n=0, n_trials=1)
+        with pytest.raises(ConfigurationError, match="n_test"):
+            InjectionJob(
+                recipe="x", scale=MICRO, bers={}, inject_n=MICRO.n_test + 1, n_trials=1
+            )
         with pytest.raises(ConfigurationError):
             InjectionJob(
                 recipe="x", scale=MICRO, bers={}, inject_n=1, n_trials=1, mode="sideways"

@@ -12,8 +12,10 @@ import json
 import pytest
 
 from repro.engine import ResultCache, SimEngine, engine_context
-from repro.experiments import RUNNERS, SCALES, fig10, run_all
+from repro.experiments import RUNNERS, SCALES, common, fig10, run_all
 from repro.experiments.orchestrator import SCALELESS, VOLATILE_MANIFEST_FIELDS
+from repro.nn.datasets import SyntheticImageDataset
+from repro.nn.quantize import QuantizedNetwork
 
 SMALLEST = SCALES["micro"]
 
@@ -143,6 +145,44 @@ class TestCacheReuse:
         assert len(warm_cache.loaded) == len(set(warm_cache.loaded))
         assert set(warm_cache.loaded) == set(warm.manifest["jobs"])
         assert run["total"]["submitted"] == run["sweep"]["unique"]
+
+    def test_warm_bundle_reload_evaluates_nothing_and_draws_only_recorded_images(
+        self, sweeps, cache_dir, tmp_path, monkeypatch
+    ):
+        cold, _ = sweeps
+        # Bundles this process built before the cold run filed their clean
+        # accuracy in another cache: reload them once against this one.
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+        run_all(
+            scale=SMALLEST,
+            artifacts_dir=tmp_path / "fill",
+            engine=SimEngine(backend="vector", jobs=1, cache_dir=cache_dir),
+        )
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm bundle reload ran a quantized forward")
+
+        monkeypatch.setattr(QuantizedNetwork, "evaluate", forbidden)
+        monkeypatch.setattr(QuantizedNetwork, "_forward_nhwc", forbidden)
+        drawn = []
+        sample = SyntheticImageDataset.sample
+
+        def counted(self, n, stream_seed, count=None):
+            drawn.append(n if count is None else count)
+            return sample(self, n, stream_seed, count)
+
+        monkeypatch.setattr(SyntheticImageDataset, "sample", counted)
+        loads = CountingCache(cache_dir)
+        warm = run_all(
+            scale=SMALLEST,
+            artifacts_dir=tmp_path / "warm",
+            engine=SimEngine(backend="vector", jobs=1, cache_dir=loads),
+        )
+        assert drawn == [SMALLEST.ter_images] * len(common._BUNDLE_CACHE)
+        # Each job's entry once, plus one clean-accuracy entry per bundle.
+        assert len(loads.loaded) == len(warm.manifest["jobs"]) + len(common._BUNDLE_CACHE)
+        assert warm.texts == cold.texts
 
     def test_manifests_byte_identical_modulo_timing(self, sweeps):
         cold, warm = sweeps

@@ -22,6 +22,7 @@ The serve-mode contract this module pins:
 import hashlib
 import json
 import os
+import signal as signal_mod
 import socket as socket_mod
 import subprocess
 import sys
@@ -615,3 +616,38 @@ class TestRoutedSweep:
         )
         assert warm_engine.stats.misses == 0
         assert ", 0 simulated" in warm_engine.stats.describe()
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("flags, cached", [([], True), (["--no-cache"], False)])
+    def test_default_engine_carries_the_daemon_cache_choice(
+        self, tmp_path, monkeypatch, flags, cached
+    ):
+        # Bundles a daemon loads file their clean accuracy through the
+        # process default engine, so `serve --no-cache` must leave it
+        # without a cache too.
+        from repro import cli
+        from repro.engine import scheduler, server as server_module
+
+        seen = []
+
+        class Stub:
+            def __init__(self, socket_path, backend=None, jobs=None, use_cache=True):
+                self.engine = SimEngine(use_cache=use_cache, cache_dir=tmp_path, remote=False)
+                self.metrics = EngineMetrics()
+
+            def serve_forever(self):
+                seen.append(scheduler.default_engine().cache is not None)
+
+        monkeypatch.setattr(server_module, "EngineServer", Stub)
+        monkeypatch.setattr(scheduler, "_default_engine", None)
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        handlers = {
+            sig: signal_mod.getsignal(sig) for sig in (signal_mod.SIGTERM, signal_mod.SIGINT)
+        }
+        try:
+            cli.main(["serve", "--socket", str(tmp_path / "engine.sock"), *flags])
+        finally:
+            for sig, handler in handlers.items():
+                signal_mod.signal(sig, handler)
+        assert seen == [cached]
