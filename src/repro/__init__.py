@@ -37,118 +37,65 @@ True
 True
 """
 
-import importlib
+from ._lazy import lazy_exports
 
 #: Where each public name lives.  The names load on first access (PEP
 #: 562), so ``import repro`` imports no submodule and no numpy: the
 #: ``python -m repro`` entry point must set BLAS threading before numpy
 #: loads.
-_EXPORTS = {
-    "arch": (
-        "PAPER_ARRAY",
-        "AcceleratorConfig",
-        "Dataflow",
-        "LayerReliabilityReport",
-        "SystolicArraySimulator",
-    ),
-    "core": (
-        "BalancedSignClusterer",
-        "LayerMappingPlan",
-        "LutCostModel",
-        "MappingStrategy",
-        "NetworkMappingPlan",
-        "count_sign_flips",
-        "plan_layer",
-        "plan_network",
-        "sort_input_channels",
-    ),
-    "engine": (
-        "SimEngine",
-        "SimJob",
-        "backend_names",
-        "configure_default_engine",
-        "default_engine",
-        "get_backend",
-        "job_key",
-        "register_backend",
-    ),
-    "errors": (
-        "ConfigurationError",
-        "MappingError",
-        "MappingFallbackWarning",
-        "QuantizationError",
-        "ReproError",
-        "ShapeError",
-        "TrainingError",
-    ),
-    "hw": (
-        "PAPER_CORNERS",
-        "TER_EVAL_CORNER",
-        "DelayModel",
-        "DynamicTimingAnalyzer",
-        "MacConfig",
-        "MacUnit",
-        "PvtaCondition",
-        "StaticTimingAnalyzer",
-        "corner_by_name",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-
-def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_MODULE_OF))
-
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "arch": (
+            "PAPER_ARRAY",
+            "AcceleratorConfig",
+            "Dataflow",
+            "LayerReliabilityReport",
+            "SystolicArraySimulator",
+        ),
+        "core": (
+            "BalancedSignClusterer",
+            "LayerMappingPlan",
+            "LutCostModel",
+            "MappingStrategy",
+            "NetworkMappingPlan",
+            "count_sign_flips",
+            "plan_layer",
+            "plan_network",
+            "sort_input_channels",
+        ),
+        "engine": (
+            "SimEngine",
+            "SimJob",
+            "backend_names",
+            "configure_default_engine",
+            "default_engine",
+            "get_backend",
+            "job_key",
+            "register_backend",
+        ),
+        "errors": (
+            "ConfigurationError",
+            "MappingError",
+            "MappingFallbackWarning",
+            "QuantizationError",
+            "ReproError",
+            "ShapeError",
+            "TrainingError",
+        ),
+        "hw": (
+            "PAPER_CORNERS",
+            "TER_EVAL_CORNER",
+            "DelayModel",
+            "DynamicTimingAnalyzer",
+            "MacConfig",
+            "MacUnit",
+            "PvtaCondition",
+            "StaticTimingAnalyzer",
+            "corner_by_name",
+        ),
+    },
+)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AcceleratorConfig",
-    "BalancedSignClusterer",
-    "ConfigurationError",
-    "Dataflow",
-    "DelayModel",
-    "DynamicTimingAnalyzer",
-    "LayerMappingPlan",
-    "LayerReliabilityReport",
-    "LutCostModel",
-    "MacConfig",
-    "MacUnit",
-    "MappingError",
-    "MappingFallbackWarning",
-    "MappingStrategy",
-    "NetworkMappingPlan",
-    "PAPER_ARRAY",
-    "PAPER_CORNERS",
-    "PvtaCondition",
-    "QuantizationError",
-    "ReproError",
-    "ShapeError",
-    "SimEngine",
-    "SimJob",
-    "StaticTimingAnalyzer",
-    "SystolicArraySimulator",
-    "TER_EVAL_CORNER",
-    "TrainingError",
-    "backend_names",
-    "configure_default_engine",
-    "count_sign_flips",
-    "corner_by_name",
-    "default_engine",
-    "get_backend",
-    "job_key",
-    "plan_layer",
-    "plan_network",
-    "register_backend",
-    "sort_input_channels",
-    "__version__",
-]
+__all__.append("__version__")

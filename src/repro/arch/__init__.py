@@ -1,34 +1,36 @@
 """Spatial-accelerator substrate: geometry, lowering, schedules, costs."""
 
-from .config import PAPER_ARRAY, AcceleratorConfig, Dataflow
-from .dataflow import GemmWorkload, ScheduleBuilder, ScheduleStats
-from .energy import AcceleratorCostModel, EnergyModel, LayerEnergyReport
-from .mapper import (
-    ConvShape,
-    conv2d_reference,
-    im2col,
-    lower_weights,
-    sample_pixel_rows,
-    tile_ranges,
-)
-from .systolic import LayerReliabilityReport, SystolicArraySimulator
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorConfig",
-    "AcceleratorCostModel",
-    "ConvShape",
-    "Dataflow",
-    "EnergyModel",
-    "GemmWorkload",
-    "LayerEnergyReport",
-    "LayerReliabilityReport",
-    "PAPER_ARRAY",
-    "ScheduleBuilder",
-    "ScheduleStats",
-    "SystolicArraySimulator",
-    "conv2d_reference",
-    "im2col",
-    "lower_weights",
-    "sample_pixel_rows",
-    "tile_ranges",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "PAPER_ARRAY",
+            "AcceleratorConfig",
+            "Dataflow",
+        ),
+        "dataflow": (
+            "GemmWorkload",
+            "ScheduleBuilder",
+            "ScheduleStats",
+        ),
+        "energy": (
+            "AcceleratorCostModel",
+            "EnergyModel",
+            "LayerEnergyReport",
+        ),
+        "mapper": (
+            "ConvShape",
+            "conv2d_reference",
+            "im2col",
+            "lower_weights",
+            "sample_pixel_rows",
+            "tile_ranges",
+        ),
+        "systolic": (
+            "LayerReliabilityReport",
+            "SystolicArraySimulator",
+        ),
+    },
+)

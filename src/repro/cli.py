@@ -37,16 +37,13 @@ from typing import Iterator, List, Optional
 from .engine import backend_names, configure_default_engine
 from .engine.cache import parse_byte_count
 from .experiments import MODEL_RECIPES, RUNNERS, SCALES, get_scale, run_all
-from .experiments.campaign import (
-    DEFAULT_CI_WIDTH,
-    DEFAULT_SHARD_TRIALS,
-    render as render_campaign,
-    run_campaign,
-)
 from .experiments.orchestrator import SCALELESS
-from .experiments.sweep import render as render_suite
-from .experiments.sweep import run_suite
-from .faults import INJECTION_RUNTIMES, configure_injection_runtime
+from .faults.aggregate import DEFAULT_CI_WIDTH
+from .faults.injection_job import (
+    DEFAULT_SHARD_TRIALS,
+    INJECTION_RUNTIMES,
+    configure_injection_runtime,
+)
 from .scenarios import suite_names
 
 
@@ -609,6 +606,8 @@ def _run_engine_command(args, engine) -> int:
     # Exported via the environment so engine pool workers inherit it.
     configure_injection_runtime(args.injection_runtime)
     if args.experiment == "sweep":
+        from .experiments.sweep import render as render_suite, run_suite
+
         scale = get_scale(args.scale)
         start = time.time()
         result = run_suite(args.suite, scale=scale, engine=engine)
@@ -623,6 +622,8 @@ def _run_engine_command(args, engine) -> int:
         _print_engine_summary(engine)
         return 0
     if args.experiment == "campaign":
+        from .experiments.campaign import render as render_campaign, run_campaign
+
         scale = get_scale(args.scale)
         start = time.time()
         result = run_campaign(

@@ -6,93 +6,64 @@ address-LUT hardware cost model (Section IV-D) and layer/network mapping
 plans that compose them.
 """
 
-from .clustering import (
-    BalancedSignClusterer,
-    ClusteringHistory,
-    ClusteringResult,
-    clustering_objective,
-    contiguous_clusters,
-    sign_difference,
-    submatrix_sign_difference,
-)
-from .lut import LutCostModel, address_bits
-from .pipeline import (
-    LayerMappingPlan,
-    MappingStrategy,
-    NetworkMappingPlan,
-    check_clustering_request,
-    plan_layer,
-    plan_network,
-)
-from .optimizer import DeploymentPlan, LayerChoice, optimize_deployment
-from .serialize import (
-    network_plan_from_json,
-    network_plan_to_json,
-    plan_from_dict,
-    plan_to_dict,
-)
-from .reorder import (
-    CRITERIA,
-    ReorderResult,
-    channel_magnitude_metric,
-    channel_sign_metric,
-    nonnegative_ratio_by_quantile,
-    optimal_single_channel_order,
-    reorder_groups,
-    segment_matrix,
-    sort_input_channels,
-    top_fraction_nonnegative_ratio,
-)
-from .signflip import (
-    conv1d_sign_flips,
-    count_sign_flips,
-    is_rise_then_fall,
-    matrix_sign_flips,
-    minimum_sign_flips,
-    paper_sign,
-    prefix_sums,
-    sign_flip_rate,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BalancedSignClusterer",
-    "CRITERIA",
-    "DeploymentPlan",
-    "LayerChoice",
-    "ClusteringHistory",
-    "ClusteringResult",
-    "LayerMappingPlan",
-    "LutCostModel",
-    "MappingStrategy",
-    "NetworkMappingPlan",
-    "ReorderResult",
-    "address_bits",
-    "channel_magnitude_metric",
-    "channel_sign_metric",
-    "clustering_objective",
-    "contiguous_clusters",
-    "conv1d_sign_flips",
-    "count_sign_flips",
-    "is_rise_then_fall",
-    "matrix_sign_flips",
-    "minimum_sign_flips",
-    "network_plan_from_json",
-    "network_plan_to_json",
-    "nonnegative_ratio_by_quantile",
-    "optimal_single_channel_order",
-    "optimize_deployment",
-    "paper_sign",
-    "plan_from_dict",
-    "check_clustering_request",
-    "plan_layer",
-    "plan_network",
-    "plan_to_dict",
-    "prefix_sums",
-    "reorder_groups",
-    "segment_matrix",
-    "sign_difference",
-    "sign_flip_rate",
-    "sort_input_channels",
-    "submatrix_sign_difference",
-    "top_fraction_nonnegative_ratio",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "clustering": (
+            "BalancedSignClusterer",
+            "ClusteringHistory",
+            "ClusteringResult",
+            "clustering_objective",
+            "contiguous_clusters",
+            "sign_difference",
+            "submatrix_sign_difference",
+        ),
+        "lut": (
+            "LutCostModel",
+            "address_bits",
+        ),
+        "pipeline": (
+            "LayerMappingPlan",
+            "MappingStrategy",
+            "NetworkMappingPlan",
+            "check_clustering_request",
+            "plan_layer",
+            "plan_network",
+        ),
+        "optimizer": (
+            "DeploymentPlan",
+            "LayerChoice",
+            "optimize_deployment",
+        ),
+        "serialize": (
+            "network_plan_from_json",
+            "network_plan_to_json",
+            "plan_from_dict",
+            "plan_to_dict",
+        ),
+        "reorder": (
+            "CRITERIA",
+            "ReorderResult",
+            "channel_magnitude_metric",
+            "channel_sign_metric",
+            "nonnegative_ratio_by_quantile",
+            "optimal_single_channel_order",
+            "reorder_groups",
+            "segment_matrix",
+            "sort_input_channels",
+            "top_fraction_nonnegative_ratio",
+        ),
+        "signflip": (
+            "conv1d_sign_flips",
+            "count_sign_flips",
+            "is_rise_then_fall",
+            "matrix_sign_flips",
+            "minimum_sign_flips",
+            "paper_sign",
+            "prefix_sums",
+            "sign_flip_rate",
+        ),
+    },
+)

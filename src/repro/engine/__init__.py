@@ -27,93 +27,70 @@ Quickstart::
     reports["Aging&VT-5%"].ter
 """
 
-from .arena import (
-    ARENA_DIR_ENV,
-    ARENA_GATE_ENV,
-    ArenaEntry,
-    ArenaStats,
-    ArenaSweepReport,
-    OperandArena,
-    arena_enabled,
-    arena_root,
-    default_arena,
-    reset_default_arena,
-    shutdown_arena,
-)
-from .backends import (
-    ReferenceBackend,
-    SimulationBackend,
-    VectorBackend,
-    backend_factory,
-    backend_names,
-    get_backend,
-    register_backend,
-)
-from .cache import (
-    CACHE_ENV_VAR,
-    CACHE_MAX_BYTES_ENV_VAR,
-    CacheGcReport,
-    CacheStats,
-    ResultCache,
-    cache_root,
-)
-from .client import EngineClient, EngineClientError
-from .job import CACHE_SCHEMA_VERSION, EngineJob, NetworkJob, SimJob, feed_hash, job_key
-from .protocol import ENGINE_SOCKET_ENV, PROTOCOL_VERSION, ProtocolError
-from .scheduler import (
-    EngineMetrics,
-    EngineStats,
-    SimEngine,
-    configure_default_engine,
-    default_engine,
-    engine_context,
-    reset_default_engine,
-)
-from .server import EngineServer, serve
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARENA_DIR_ENV",
-    "ARENA_GATE_ENV",
-    "ArenaEntry",
-    "ArenaStats",
-    "ArenaSweepReport",
-    "OperandArena",
-    "arena_enabled",
-    "arena_root",
-    "default_arena",
-    "reset_default_arena",
-    "shutdown_arena",
-    "CACHE_ENV_VAR",
-    "CACHE_MAX_BYTES_ENV_VAR",
-    "CACHE_SCHEMA_VERSION",
-    "CacheGcReport",
-    "CacheStats",
-    "ENGINE_SOCKET_ENV",
-    "EngineClient",
-    "EngineClientError",
-    "EngineJob",
-    "EngineMetrics",
-    "EngineServer",
-    "EngineStats",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "NetworkJob",
-    "ReferenceBackend",
-    "ResultCache",
-    "SimEngine",
-    "SimJob",
-    "SimulationBackend",
-    "VectorBackend",
-    "backend_factory",
-    "backend_names",
-    "cache_root",
-    "configure_default_engine",
-    "default_engine",
-    "engine_context",
-    "feed_hash",
-    "get_backend",
-    "job_key",
-    "register_backend",
-    "reset_default_engine",
-    "serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "arena": (
+            "ARENA_DIR_ENV",
+            "ARENA_GATE_ENV",
+            "ArenaEntry",
+            "ArenaStats",
+            "ArenaSweepReport",
+            "OperandArena",
+            "arena_enabled",
+            "arena_root",
+            "default_arena",
+            "reset_default_arena",
+            "shutdown_arena",
+        ),
+        "backends": (
+            "ReferenceBackend",
+            "SimulationBackend",
+            "VectorBackend",
+            "backend_factory",
+            "backend_names",
+            "get_backend",
+            "register_backend",
+        ),
+        "cache": (
+            "CACHE_ENV_VAR",
+            "CACHE_MAX_BYTES_ENV_VAR",
+            "CacheGcReport",
+            "CacheStats",
+            "ResultCache",
+            "cache_root",
+        ),
+        "client": (
+            "EngineClient",
+            "EngineClientError",
+        ),
+        "job": (
+            "CACHE_SCHEMA_VERSION",
+            "EngineJob",
+            "NetworkJob",
+            "SimJob",
+            "feed_hash",
+            "job_key",
+        ),
+        "protocol": (
+            "PROTOCOL_VERSION",
+            "ProtocolError",
+        ),
+        "scheduler": (
+            "ENGINE_SOCKET_ENV",
+            "EngineMetrics",
+            "EngineStats",
+            "SimEngine",
+            "configure_default_engine",
+            "default_engine",
+            "engine_context",
+            "reset_default_engine",
+        ),
+        "server": (
+            "EngineServer",
+            "serve",
+        ),
+    },
+)

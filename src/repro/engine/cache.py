@@ -63,13 +63,14 @@ import functools
 import io
 import math
 import os
+import struct
 import tokenize
 import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -99,6 +100,33 @@ _MIN_ENTRY_BYTES = 23
 #: (say, a ``MemoryError`` or a bug in a deserializer) propagates and
 #: leaves the entry on disk.
 _DECODE_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError, zlib.error)
+
+#: The zip records :func:`read_npz` walks (PKWARE APPNOTE 4.3): their
+#: signatures and fixed-size layouts.  A local header starts with
+#: ``_NPZ_MAGIC``.
+_CENTRAL_SIG = b"PK\x01\x02"
+_END_SIG = b"PK\x05\x06"
+_END64_LOCATOR_SIG = b"PK\x06\x07"
+_END64_SIG = b"PK\x06\x06"
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
+_END_RECORD = struct.Struct("<4s4H2LH")
+_END64_LOCATOR = struct.Struct("<4sLQL")
+_END64_RECORD = struct.Struct("<4sQ2H2L4Q")
+_MAX32, _MAX64 = (1 << 32) - 1, (1 << 64) - 1
+
+#: General-purpose flag bits zipfile will not read past: encrypted (0),
+#: compressed patched data (5), strong encryption (6).
+_REFUSED_FLAGS = 0x0061
+
+#: Flag bit 11: the member name is UTF-8 (otherwise cp437).
+_UTF8_NAME = 0x0800
+
+#: Newest "version needed to extract" zipfile accepts (6.3).
+_MAX_EXTRACT_VERSION = 63
+
+#: The compression methods ``np.savez`` and ``np.savez_compressed`` write.
+_STORED, _DEFLATED = 0, 8
 
 #: Per-shard lock file name (dot-prefixed: invisible to the ``*.npz``
 #: globs and to the ``.*.tmp`` orphan sweep).
@@ -138,14 +166,14 @@ def _npy_header(prefix: bytes) -> Tuple[Tuple[int, ...], bool, np.dtype]:
     return shape, fortran_order, dtype
 
 
-def _npy_array(raw: bytes) -> np.ndarray:
+def _npy_array(raw: Union[bytes, memoryview]) -> np.ndarray:
     """A read-only view of the array one ``.npy`` member's bytes hold."""
     version = tuple(raw[6:8])
     if raw[:6] != np.lib.format.MAGIC_PREFIX or version not in _NPY_FORMATS:
         raise ValueError("not a version 1.0 or 2.0 .npy member")
     width, _ = _NPY_FORMATS[version]
     start = 8 + width + int.from_bytes(raw[8 : 8 + width], "little")
-    shape, fortran_order, dtype = _npy_header(raw[:start])
+    shape, fortran_order, dtype = _npy_header(bytes(raw[:start]))
     count = math.prod(shape)
     if len(raw) - start != count * dtype.itemsize:
         raise ValueError(
@@ -154,6 +182,167 @@ def _npy_array(raw: bytes) -> np.ndarray:
         )
     arr = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
     return arr.reshape(shape, order="F" if fortran_order else "C")
+
+
+class _Member(NamedTuple):
+    """One central-directory record, zip64 fields resolved."""
+
+    name: str
+    flags: int
+    method: int
+    crc: int
+    compress_size: int
+    file_size: int
+    #: Where the member's local header starts in the archive's bytes.
+    offset: int
+    #: Where the next member's local header (or the directory) starts.
+    end: int
+
+
+def _member_name(raw: bytes, flags: int) -> str:
+    """A member name decoded as zipfile decodes it."""
+    if raw.isascii():  # the same in both encodings, and the usual case
+        return raw.decode("ascii")
+    return raw.decode("utf-8" if flags & _UTF8_NAME else "cp437")
+
+
+def _zip64_fields(extra: bytes, sizes: List[int]) -> List[int]:
+    """``[file_size, compress_size, offset]`` with their zip64 values.
+
+    The zip64 extra field (APPNOTE 4.5.3) holds a 64-bit value for each
+    of the three 32-bit fields that is saturated, in that order; a field
+    that runs past the extra data is corrupt, as zipfile rules.
+    """
+    while len(extra) >= 4:
+        kind, length = struct.unpack_from("<HH", extra)
+        if length + 4 > len(extra):
+            raise zipfile.BadZipFile(f"Corrupt extra field {kind:04x} (size={length})")
+        if kind == 1:
+            values = extra[4 : length + 4]
+            saturated = (sizes[0] in (_MAX32, _MAX64), sizes[1] == _MAX32, sizes[2] == _MAX32)
+            for i in (i for i, full in enumerate(saturated) if full):
+                if len(values) < 8:
+                    raise zipfile.BadZipFile("Corrupt zip64 extra field")
+                sizes[i] = int.from_bytes(values[:8], "little")
+                values = values[8:]
+        extra = extra[length + 4 :]
+    return sizes
+
+
+def _directory_span(data: bytes) -> Tuple[int, int]:
+    """``(start, end)`` of the central directory, found as zipfile finds it.
+
+    The directory ends where the end-of-central-directory record (or its
+    zip64 form) starts, and starts the size that record states before
+    that.  zipfile would also take a stated offset elsewhere as bytes
+    prepended to the archive and shift every member by the difference;
+    nothing here writes such archives, so it is refused.
+    """
+    at = len(data) - _END_RECORD.size
+    if at < 0:
+        raise zipfile.BadZipFile("File is not a zip file")
+    if not (data.startswith(_END_SIG, at) and data.endswith(b"\0\0")):
+        # The record is followed by an archive comment of up to 64 KiB.
+        at = data.rfind(_END_SIG, max(at - (1 << 16), 0))
+        if at < 0 or at + _END_RECORD.size > len(data):
+            raise zipfile.BadZipFile("File is not a zip file")
+    *_, size, offset, _ = _END_RECORD.unpack_from(data, at)
+    locator = at - _END64_LOCATOR.size
+    if locator >= 0 and data.startswith(_END64_LOCATOR_SIG, locator):
+        _, disk, _, disks = _END64_LOCATOR.unpack_from(data, locator)
+        if disk != 0 or disks > 1:
+            raise zipfile.BadZipFile("zipfiles that span multiple disks are not supported")
+        record = locator - _END64_RECORD.size
+        if record < 0:
+            raise zipfile.BadZipFile("File is not a zip file")
+        if data.startswith(_END64_SIG, record):
+            *_, size, offset = _END64_RECORD.unpack_from(data, record)
+            at = record
+    if at - size != offset:
+        raise zipfile.BadZipFile("Bad offset for central directory")
+    return offset, at
+
+
+def _central_directory(data: bytes) -> List[_Member]:
+    """The members an archive's central directory lists, in its order.
+
+    Refuses what zipfile refuses to list: a bad signature, a truncated
+    record, a corrupt extra field, a version past 6.3.  Each member's
+    ``end`` is the next member's header (or the directory), so no member
+    can claim bytes of another.
+    """
+    if not data.startswith((_NPZ_MAGIC, _END_SIG)):
+        # np.load's own check: anything else it would read as a pickle.
+        raise zipfile.BadZipFile("File is not a zip file")
+    start, end = _directory_span(data)
+    directory = data[start:end]
+    records = []
+    at = 0
+    while at < len(directory):
+        record = directory[at : at + _CENTRAL_HEADER.size]
+        if len(record) != _CENTRAL_HEADER.size:
+            raise zipfile.BadZipFile("Truncated central directory")
+        (sig, _, _, version, _, flags, method, _, _, crc, compress_size, file_size,
+         n_name, n_extra, n_comment, _, _, _, local) = _CENTRAL_HEADER.unpack(record)
+        if sig != _CENTRAL_SIG:
+            raise zipfile.BadZipFile("Bad magic number for central directory")
+        at += _CENTRAL_HEADER.size
+        name = _member_name(directory[at : at + n_name], flags)
+        if version > _MAX_EXTRACT_VERSION:
+            raise zipfile.BadZipFile(f"zip file version {version / 10:.1f}")
+        if n_extra:
+            file_size, compress_size, local = _zip64_fields(
+                directory[at + n_name : at + n_name + n_extra], [file_size, compress_size, local]
+            )
+        records.append((name, flags, method, crc, compress_size, file_size, local))
+        at += n_name + n_extra + n_comment
+    order = sorted(range(len(records)), key=lambda i: records[i][6])
+    ends = [start] * len(records)
+    for i, j in zip(order, order[1:]):
+        ends[i] = records[j][6]
+    return [_Member(*record, end) for record, end in zip(records, ends)]
+
+
+def _read_member(data: bytes, member: _Member) -> Union[bytes, memoryview]:
+    """One member's bytes: found by its local header, inflated and checked.
+
+    Refuses what zipfile refuses to read (the encryption and patch flag
+    bits, an unknown compression method, a header whose name differs
+    from the directory's) and, beyond it, a member whose data runs into
+    the next one, a deflate stream that does not end exactly with the
+    member, or a CRC-32 or length that differs from the directory's.
+    Stored and deflated are the methods ``np.savez`` writes; a stored
+    member is a view of ``data``, not a copy, so reading a trained-state
+    file holds its bytes once.
+    """
+    if member.flags & _REFUSED_FLAGS:
+        raise zipfile.BadZipFile(f"{member.name!r} is encrypted or patched")
+    if member.method not in (_STORED, _DEFLATED):
+        raise zipfile.BadZipFile(f"{member.name!r}: compression method {member.method}")
+    header = data[member.offset : member.offset + _LOCAL_HEADER.size]
+    if len(header) != _LOCAL_HEADER.size:
+        raise zipfile.BadZipFile("Truncated file header")
+    sig, _, _, flags, *_, n_name, n_extra = _LOCAL_HEADER.unpack(header)
+    if sig != _NPZ_MAGIC:
+        raise zipfile.BadZipFile("Bad magic number for file header")
+    start = member.offset + _LOCAL_HEADER.size
+    if _member_name(data[start : start + n_name], flags) != member.name:
+        raise zipfile.BadZipFile(f"File name in directory {member.name!r} and header differ")
+    start += n_name + n_extra
+    stop = start + member.compress_size
+    if stop > member.end:
+        raise zipfile.BadZipFile(f"{member.name!r} overlaps the next member")
+    raw = memoryview(data)[start:stop]
+    if member.method == _DEFLATED:
+        inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+        # One byte past the stated size is enough to fail the length
+        # check below, so a stream that inflates further stops there.
+        raw = inflater.decompress(raw, member.file_size + 1)
+        if not inflater.eof or inflater.unused_data:
+            raise zipfile.BadZipFile(f"{member.name!r}: deflate stream does not end the member")
+    if len(raw) != member.file_size or zlib.crc32(raw) != member.crc:
+        raise zipfile.BadZipFile(f"Bad CRC-32 or size for file {member.name!r}")
+    return raw
 
 
 def read_npz(source: Union[str, Path, BinaryIO]) -> Dict[str, np.ndarray]:
@@ -165,23 +354,28 @@ def read_npz(source: Union[str, Path, BinaryIO]) -> Dict[str, np.ndarray]:
     ``deserialize_result`` the dict this returns, and
     :func:`~repro.experiments.common.load_model_state` restores from it.
     Decodes each member as ``np.load(source, allow_pickle=False)`` does
-    (its test oracle), but parses each distinct header once per process
-    and returns each array as a read-only view of its member's bytes
-    (decoded results are shared by within-batch dedup).  Stored and
-    deflated members both read; anything malformed, a payload of the
-    wrong length included, raises one of ``_DECODE_ERRORS``.
+    (its test oracle), but in one pass over the archive's bytes (read
+    from a file object's current position): the central directory is
+    walked here, not through ``zipfile``, each distinct ``.npy`` header
+    is parsed once per process, and each array is a read-only view of
+    its member's bytes (decoded results are shared by within-batch
+    dedup).  Sizes come from the central directory, since ``np.savez``
+    writes zip64 local headers without them.  Stored and deflated
+    members both read; anything malformed (see :func:`_read_member`)
+    raises one of ``_DECODE_ERRORS``.
     """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as handle:
+            data = handle.read()
+    else:
+        data = source.read()
     arrays = {}
-    try:
-        with zipfile.ZipFile(source) as archive:
-            for info in archive.infolist():
-                name = info.filename
-                arrays[name[:-4] if name.endswith(".npy") else name] = _npy_array(archive.read(info))
-    except (NotImplementedError, RuntimeError) as exc:
-        # zipfile's refusals of a damaged header field: an unknown
-        # version, compression method or flag bit, or a stray
-        # encryption flag ("password required").
-        raise zipfile.BadZipFile(str(exc)) from exc
+    for member in _central_directory(data):
+        # zipfile's name for a member ends at its first NUL byte.
+        name = member.name.split("\0", 1)[0]
+        arrays[name[:-4] if name.endswith(".npy") else name] = _npy_array(
+            _read_member(data, member)
+        )
     return arrays
 
 

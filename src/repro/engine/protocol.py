@@ -32,10 +32,6 @@ from ..errors import ReproError
 from .cache import read_npz
 from .job import EngineJob
 
-#: Points `run_many`/`run_stream` (and `read-repro ping`) at a running
-#: daemon's Unix socket; unset means "always in-process".
-ENGINE_SOCKET_ENV = "REPRO_ENGINE_SOCKET"
-
 #: Bump on any frame-layout or verb-semantics change; client and server
 #: exchange it in `ping` and refuse mismatches loudly.
 PROTOCOL_VERSION = 1

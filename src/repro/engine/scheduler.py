@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -57,9 +58,16 @@ from ..core.pipeline import plans_diagnosed
 from ..errors import ConfigurationError
 from .backends import SimulationBackend, backend_factory, get_backend
 from .cache import ResultCache
-from .client import EngineClient, EngineClientError
 from .job import EngineJob, NetworkJob, SimJob
-from .protocol import ENGINE_SOCKET_ENV
+
+if TYPE_CHECKING:  # the daemon client and the pool load where they are used
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .client import EngineClient
+
+#: Points `run_many`/`run_stream` (and `read-repro ping`) at a running
+#: daemon's Unix socket; unset means "always in-process".
+ENGINE_SOCKET_ENV = "REPRO_ENGINE_SOCKET"
 
 #: How long a failed daemon probe suppresses further probes.  After this
 #: many seconds (or :data:`REMOTE_REPROBE_REQUESTS` skipped probes,
@@ -319,6 +327,9 @@ class SimEngine:
         self.keep_pool = keep_pool
         self.remote = remote
         self._persistent_pool: Optional[ProcessPoolExecutor] = None
+        #: Whether a worker pool ever ran for this engine: its workers may
+        #: have published arena segments that :meth:`close` must sweep.
+        self._pooled = False
         #: Latched (with a monotonic timestamp) after a failed daemon
         #: probe so a long sweep stays in-process rather than re-probing
         #: per batch.  The latch *expires* — after
@@ -360,6 +371,9 @@ class SimEngine:
         per-process bundle/plan/pass memos are the whole point); without
         it the historical build-use-teardown per batch is preserved.
         """
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._pooled = True
         if self.keep_pool:
             if self._persistent_pool is None:
                 self._persistent_pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -376,14 +390,18 @@ class SimEngine:
         ``atexit`` hook, so they exit still holding their leases (as
         does a SIGKILLed worker); after the pool shutdown the follow-up
         sweep detects those pid-named leases as dead and reclaims every
-        segment the engine's fan-out was keeping alive.
+        segment the engine's fan-out was keeping alive.  An engine that
+        ran no pool, in a process that never loaded the arena (a warm
+        run: every job a cache hit), has published nothing to sweep and
+        leaves the arena module unloaded.
         """
         if self._persistent_pool is not None:
             self._persistent_pool.shutdown()
             self._persistent_pool = None
-        from .arena import shutdown_arena
+        if self._pooled or f"{__package__}.arena" in sys.modules:
+            from .arena import shutdown_arena
 
-        shutdown_arena()
+            shutdown_arena()
 
     # ------------------------------------------------------------------ #
     def _remote_client(self) -> Optional[EngineClient]:
@@ -409,6 +427,8 @@ class SimEngine:
             )
             if fresh:
                 return None
+        from .client import EngineClient, EngineClientError
+
         client = EngineClient(socket_path)
         try:
             client.ping()
@@ -505,6 +525,8 @@ class SimEngine:
         submitted = list(jobs)
         client = self._remote_client()
         if client is not None:
+            from .client import EngineClientError
+
             try:
                 return self._run_many_remote(client, submitted)
             except EngineClientError as exc:
@@ -571,6 +593,8 @@ class SimEngine:
         if len(pending) > 1 and self.workers > 1:
             workers = min(self.workers, len(pending))
             units = _fused_units(jobs, pending, workers, factory)
+            from concurrent.futures import as_completed
+
             with self._acquire_pool(workers) as pool:
                 futures = {
                     pool.submit(_execute_job, factory, unit): idxs
@@ -656,6 +680,8 @@ class SimEngine:
         jobs = list(jobs)
         client = self._remote_client()
         if client is not None:
+            from .client import EngineClientError
+
             try:
                 return self._run_stream_remote(client, jobs, on_result)
             except EngineClientError as exc:
@@ -704,6 +730,8 @@ class SimEngine:
 
         if len(pending) > 1 and self.jobs > 1:
             workers = min(self.jobs, len(pending))
+            from concurrent.futures import as_completed
+
             with self._acquire_pool(workers) as pool:
                 futures = {}
                 for i in pending:

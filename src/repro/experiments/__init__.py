@@ -7,21 +7,8 @@ around these.  Runners that use the engine also expose
 and returns their result (``run`` is ``drive(steps(...))``).
 """
 
+from .._lazy import lazy_exports
 from . import fig2, fig3, fig5, fig7, fig8, fig9, fig10, fig11, table1
-from .common import (
-    ALL_STRATEGIES,
-    MODEL_RECIPES,
-    SCALES,
-    ExperimentScale,
-    LayerTerRecord,
-    TrainedBundle,
-    geometric_mean,
-    get_bundle,
-    get_scale,
-    measure_layer_ters,
-    record_operand_streams,
-    render_table,
-)
 
 #: Registry used by the CLI and the orchestrator: name -> module with
 #: run()/render()/main(), plus the steps() job-batch generator for the
@@ -39,43 +26,28 @@ RUNNERS = {
     "fig11": fig11,
 }
 
-from . import orchestrator  # noqa: E402  (needs RUNNERS above)
-from .orchestrator import OrchestratorResult, run_all  # noqa: E402
-from . import sweep  # noqa: E402  (needs orchestrator above)
-from .sweep import SuiteResult, run_suite  # noqa: E402
-from . import campaign  # noqa: E402  (needs fig10 above)
-from .campaign import CampaignResult, run_campaign  # noqa: E402
-
-__all__ = [
-    "ALL_STRATEGIES",
-    "MODEL_RECIPES",
-    "RUNNERS",
-    "SCALES",
-    "CampaignResult",
-    "ExperimentScale",
-    "LayerTerRecord",
-    "OrchestratorResult",
-    "SuiteResult",
-    "TrainedBundle",
-    "campaign",
-    "fig10",
-    "fig11",
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "geometric_mean",
-    "get_bundle",
-    "get_scale",
-    "measure_layer_ters",
-    "orchestrator",
-    "record_operand_streams",
-    "render_table",
-    "run_all",
-    "run_campaign",
-    "run_suite",
-    "sweep",
-    "table1",
-]
+# Only some commands drive the orchestrator, a suite or a campaign, so
+# those modules load on first access.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "common": (
+            "ALL_STRATEGIES",
+            "MODEL_RECIPES",
+            "SCALES",
+            "ExperimentScale",
+            "LayerTerRecord",
+            "TrainedBundle",
+            "geometric_mean",
+            "get_bundle",
+            "get_scale",
+            "measure_layer_ters",
+            "record_operand_streams",
+            "render_table",
+        ),
+        "orchestrator": ("orchestrator", "OrchestratorResult", "run_all"),
+        "sweep": ("sweep", "SuiteResult", "run_suite"),
+        "campaign": ("campaign", "CampaignResult", "run_campaign"),
+    },
+)
+__all__ += ["RUNNERS", *RUNNERS]

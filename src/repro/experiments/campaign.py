@@ -56,7 +56,8 @@ from ..faults import (
     stop_reason,
     wilson_interval,
 )
-from ..faults.injection_job import injection_runtime
+from ..faults.aggregate import DEFAULT_CI_WIDTH
+from ..faults.injection_job import DEFAULT_SHARD_TRIALS, injection_runtime
 from ..hw.variations import PAPER_CORNERS, PvtaCondition
 from .common import (
     ALL_STRATEGIES,
@@ -71,12 +72,6 @@ from .fig10 import grid_injection_jobs
 
 #: Campaign manifest layout version.
 CAMPAIGN_SCHEMA = 1
-
-#: Default target Wilson-interval width for the "converged" stop.
-DEFAULT_CI_WIDTH = 0.05
-
-#: Default trials per shard.
-DEFAULT_SHARD_TRIALS = 8
 
 #: Fields excluded from the manifest determinism guarantee (timings,
 #: hit/miss counters, resume provenance) — same convention as the

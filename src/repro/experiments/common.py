@@ -54,7 +54,6 @@ from ..nn.quantize import (
     canonical_bits,
     quantize_model,
 )
-from ..nn.training import Trainer
 
 #: All strategies compared across the figures, in plotting order.
 ALL_STRATEGIES = (
@@ -370,6 +369,8 @@ def get_bundle(
         # paths that draw the training split.
         x_train, y_train = dataset.train_split(scale.n_train, seed=seed)
         if not trained:
+            from ..nn.training import Trainer
+
             Trainer(model, lr=0.03, batch_size=32, seed=seed).fit(
                 x_train, y_train, epochs=scale.epochs
             )
@@ -450,11 +451,17 @@ def record_operand_streams(
     Conv and static-matmul ops record one ``(rows, C_eff)`` operand
     matrix; dynamic (activation-activation) matmuls record an
     ``(a_q, b_q)`` tensor pair — both operands are runtime data, one
-    stationary matrix per image instance.
+    stationary matrix per image instance.  A conv network records on
+    the exact BLAS walk of its clean evaluation, whose matrices equal
+    the int64 forward's byte for byte (its convs quantize the same
+    inputs, see :meth:`~repro.nn.quantize.QuantizedConv.accumulate_nhwc`).
     """
     qnet.set_recording(True)
     try:
-        qnet.forward(x_images)
+        if isinstance(qnet, QuantizedNetwork):
+            qnet._forward_nhwc(x_images)
+        else:
+            qnet.forward(x_images)
         streams: Dict[str, object] = {}
         for op in qnet.gemm_ops():
             if isinstance(op, QuantizedDynamicMatmul):

@@ -37,6 +37,7 @@ from .common import (
     Steps,
     TrainedBundle,
     bundle_ter_batch,
+    clean_accuracy,
     gemm_reorder_applicability,
     get_bundle,
     get_scale,
@@ -118,7 +119,7 @@ def scenario_steps(scenario: Scenario, scale: ExperimentScale) -> Steps:
     }
     return ScenarioReport(
         scenario=scenario,
-        quant_accuracy=bundle.quant_accuracy,
+        quant_accuracy=clean_accuracy(bundle, scenario.topk),
         records=records,
         injected_accuracy=grid,
         bits=bundle.bits_per_layer,

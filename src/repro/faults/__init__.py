@@ -1,106 +1,68 @@
 """Fault framework: Eq. 1 BER math, bit flips, accuracy eval, baselines."""
 
-from .aggregate import (
-    DEFAULT_Z,
-    STOP_REASONS,
-    CellAggregate,
-    RunningStats,
-    decide,
-    interval_width,
-    intervals_separated,
-    merge_all,
-    stop_reason,
-    wilson_interval,
-)
-from .abft import (
-    AbftReport,
-    check_and_correct,
-    encode_operands,
-    overhead_macs,
-    protected_gemm,
-)
-from .ber import ber_from_ter, ter_from_ber
-from .evaluate import (
-    FaultInjectionEvaluator,
-    InjectionOutcome,
-    bers_from_layer_ters,
-    evaluate_bundle_under_injection,
-    injection_job_for_bundle,
-    outcome_from_result,
-)
-from .injection import (
-    BitFlipInjector,
-    active_msb_from_max,
-    layer_stream,
-    measure_active_msbs,
-    msb_weighted_positions,
-)
-from .injection_job import (
-    INJECTION_RUNTIMES,
-    INJECTION_SCHEMA_VERSION,
-    InjectionJob,
-    InjectionResult,
-    InjectionShard,
-    configure_injection_runtime,
-    drain_runtime_counters,
-    injection_runtime,
-    merge_results,
-    plan_shards,
-    record_runtime_counters,
-    run_injection_trials,
-    trial_seed,
-)
-from .sensitivity import (
-    LayerSensitivity,
-    SensitivityReport,
-    analyze_sensitivity,
-    selective_hardening,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AbftReport",
-    "BitFlipInjector",
-    "CellAggregate",
-    "DEFAULT_Z",
-    "FaultInjectionEvaluator",
-    "INJECTION_RUNTIMES",
-    "INJECTION_SCHEMA_VERSION",
-    "InjectionJob",
-    "InjectionOutcome",
-    "InjectionResult",
-    "InjectionShard",
-    "LayerSensitivity",
-    "RunningStats",
-    "STOP_REASONS",
-    "SensitivityReport",
-    "active_msb_from_max",
-    "analyze_sensitivity",
-    "ber_from_ter",
-    "bers_from_layer_ters",
-    "check_and_correct",
-    "configure_injection_runtime",
-    "decide",
-    "drain_runtime_counters",
-    "encode_operands",
-    "evaluate_bundle_under_injection",
-    "injection_job_for_bundle",
-    "injection_runtime",
-    "interval_width",
-    "intervals_separated",
-    "layer_stream",
-    "measure_active_msbs",
-    "merge_all",
-    "merge_results",
-    "msb_weighted_positions",
-    "outcome_from_result",
-    "overhead_macs",
-    "plan_shards",
-    "protected_gemm",
-    "record_runtime_counters",
-    "run_injection_trials",
-    "selective_hardening",
-    "stop_reason",
-    "ter_from_ber",
-    "trial_seed",
-    "wilson_interval",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "aggregate": (
+            "DEFAULT_Z",
+            "STOP_REASONS",
+            "CellAggregate",
+            "RunningStats",
+            "decide",
+            "interval_width",
+            "intervals_separated",
+            "merge_all",
+            "stop_reason",
+            "wilson_interval",
+        ),
+        "abft": (
+            "AbftReport",
+            "check_and_correct",
+            "encode_operands",
+            "overhead_macs",
+            "protected_gemm",
+        ),
+        "ber": (
+            "ber_from_ter",
+            "ter_from_ber",
+        ),
+        "evaluate": (
+            "FaultInjectionEvaluator",
+            "InjectionOutcome",
+            "bers_from_layer_ters",
+            "evaluate_bundle_under_injection",
+            "injection_job_for_bundle",
+            "outcome_from_result",
+        ),
+        "injection": (
+            "BitFlipInjector",
+            "active_msb_from_max",
+            "layer_stream",
+            "measure_active_msbs",
+            "msb_weighted_positions",
+        ),
+        "injection_job": (
+            "INJECTION_RUNTIMES",
+            "INJECTION_SCHEMA_VERSION",
+            "InjectionJob",
+            "InjectionResult",
+            "InjectionShard",
+            "configure_injection_runtime",
+            "drain_runtime_counters",
+            "injection_runtime",
+            "merge_results",
+            "plan_shards",
+            "record_runtime_counters",
+            "run_injection_trials",
+            "trial_seed",
+        ),
+        "sensitivity": (
+            "LayerSensitivity",
+            "SensitivityReport",
+            "analyze_sensitivity",
+            "selective_hardening",
+        ),
+    },
+)

@@ -216,6 +216,10 @@ class CellAggregate:
 STOP_REASONS = ("separated", "converged", "budget", "fault-free")
 
 
+#: Default target Wilson-interval width for the "converged" stop.
+DEFAULT_CI_WIDTH = 0.05
+
+
 def stop_reason(
     cell_ci: Tuple[float, float],
     baseline_ci: Tuple[float, float],

@@ -45,7 +45,6 @@ import numpy as np
 from ..engine.job import EngineJob, feed_hash, memoized_key
 from ..errors import ConfigurationError
 from ..nn.quantize import FaultFreePass, TrialBatchStats, canonical_bits
-from .injection import BitFlipInjector, active_msb_from_max, measure_active_msbs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see execute())
     from ..experiments.common import ExperimentScale
@@ -385,6 +384,8 @@ def _pass_msbs(
     prefix: "FaultFreePass", relative_window: int
 ) -> Dict[str, int]:
     """Active-MSB table read off a recorded fault-free pass."""
+    from .injection import active_msb_from_max
+
     return {
         name: active_msb_from_max(peak, relative_window)
         for name, peak in prefix.max_abs_acc.items()
@@ -449,6 +450,8 @@ def run_injection_trials(
     if not bers or all(b == 0.0 for b in bers.values()):
         acc = network.evaluate(x, y, topk=topk, batch_size=batch_size)
         return _with_counts([acc], 0, n_images)
+    # The injector loads only for a run that flips bits.
+    from .injection import BitFlipInjector, measure_active_msbs
 
     resolved = injection_runtime(runtime)
     if resolved == "batched":
@@ -703,6 +706,8 @@ class InjectionJob(EngineJob):
                     key, lambda: _arena_pass(bundle.qnet, x, key)
                 )
             elif self.mode == "relative":
+                from .injection import measure_active_msbs
+
                 msbs = _lru_get(
                     _MSB_CACHE,
                     key + (self.relative_window,),
@@ -842,6 +847,10 @@ class InjectionShard(EngineJob):
 
     serialize_result = staticmethod(InjectionJob.serialize_result)
     deserialize_result = staticmethod(InjectionJob.deserialize_result)
+
+
+#: Default trials per shard of a campaign.
+DEFAULT_SHARD_TRIALS = 8
 
 
 def plan_shards(job: InjectionJob, shard_trials: int) -> List[InjectionShard]:

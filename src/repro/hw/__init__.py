@@ -7,80 +7,61 @@ exploits: partial-sum sign flips exciting the accumulator carry chain,
 i.e. the *critical input patterns* of Section III.
 """
 
-from .carry import (
-    AdditionTrace,
-    accumulation_chain_lengths,
-    add_trace,
-    highest_set_bit,
-    longest_one_run,
-)
-from .dta import DynamicTimingAnalyzer, TimingAnalysisResult
-from .fixedpoint import (
-    ACT_WIDTH,
-    PRODUCT_WIDTH,
-    PSUM_WIDTH,
-    WEIGHT_WIDTH,
-    flip_bits,
-    from_field,
-    saturate,
-    significant_bits,
-    to_field,
-    wrap,
-)
-from .mac import MacConfig, MacTrace, MacUnit
-from .razor import RazorConfig, SpeculationOutcome, TimingSpeculationModel
-from .timing import DelayModel, StaticTimingAnalyzer
-from .variations import (
-    AGING_10Y,
-    AGING_VT_3,
-    AGING_VT_5,
-    IDEAL,
-    PAPER_CORNERS,
-    TER_EVAL_CORNER,
-    VT_3,
-    VT_5,
-    NbtiAgingModel,
-    PvtaCondition,
-    VoltageTemperatureModel,
-    corner_by_name,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACT_WIDTH",
-    "AGING_10Y",
-    "AGING_VT_3",
-    "AGING_VT_5",
-    "AdditionTrace",
-    "DelayModel",
-    "DynamicTimingAnalyzer",
-    "IDEAL",
-    "MacConfig",
-    "MacTrace",
-    "MacUnit",
-    "NbtiAgingModel",
-    "PAPER_CORNERS",
-    "PRODUCT_WIDTH",
-    "PSUM_WIDTH",
-    "PvtaCondition",
-    "RazorConfig",
-    "SpeculationOutcome",
-    "StaticTimingAnalyzer",
-    "TER_EVAL_CORNER",
-    "TimingAnalysisResult",
-    "TimingSpeculationModel",
-    "VT_3",
-    "VT_5",
-    "VoltageTemperatureModel",
-    "WEIGHT_WIDTH",
-    "accumulation_chain_lengths",
-    "add_trace",
-    "corner_by_name",
-    "flip_bits",
-    "from_field",
-    "highest_set_bit",
-    "longest_one_run",
-    "saturate",
-    "significant_bits",
-    "to_field",
-    "wrap",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "carry": (
+            "AdditionTrace",
+            "accumulation_chain_lengths",
+            "add_trace",
+            "highest_set_bit",
+            "longest_one_run",
+        ),
+        "dta": (
+            "DynamicTimingAnalyzer",
+            "TimingAnalysisResult",
+        ),
+        "fixedpoint": (
+            "ACT_WIDTH",
+            "PRODUCT_WIDTH",
+            "PSUM_WIDTH",
+            "WEIGHT_WIDTH",
+            "flip_bits",
+            "from_field",
+            "saturate",
+            "significant_bits",
+            "to_field",
+            "wrap",
+        ),
+        "mac": (
+            "MacConfig",
+            "MacTrace",
+            "MacUnit",
+        ),
+        "razor": (
+            "RazorConfig",
+            "SpeculationOutcome",
+            "TimingSpeculationModel",
+        ),
+        "timing": (
+            "DelayModel",
+            "StaticTimingAnalyzer",
+        ),
+        "variations": (
+            "AGING_10Y",
+            "AGING_VT_3",
+            "AGING_VT_5",
+            "IDEAL",
+            "PAPER_CORNERS",
+            "TER_EVAL_CORNER",
+            "VT_3",
+            "VT_5",
+            "NbtiAgingModel",
+            "PvtaCondition",
+            "VoltageTemperatureModel",
+            "corner_by_name",
+        ),
+    },
+)

@@ -7,79 +7,57 @@ and int8 post-training quantization with integer inference exposing the
 MAC accumulators to fault injection.
 """
 
-from . import functional
-from .datasets import DATASET_SPECS, DatasetSpec, SyntheticImageDataset, load_dataset
-from .layers import (
-    BasicBlock,
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    GlobalAvgPool,
-    Linear,
-    MaxPool2d,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-)
-from .models import (
-    RESNET_STAGES,
-    VGG16_LAYOUT,
-    ClassifierNetwork,
-    ConvLayerInfo,
-    build_model,
-    build_resnet,
-    build_vgg16,
-)
-from .regularizers import (
-    CompositeRegularizer,
-    NegativeWeightPenalty,
-    SignCoherencePenalty,
-    WeightRegularizer,
-    read_friendly_regularizer,
-)
-from .quantize import (
-    QuantizedConv,
-    QuantizedNetwork,
-    fold_batchnorm,
-    quantize_weights,
-)
-from .training import SgdMomentum, Trainer, TrainHistory
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "BatchNorm2d",
-    "ClassifierNetwork",
-    "Conv2d",
-    "ConvLayerInfo",
-    "DATASET_SPECS",
-    "DatasetSpec",
-    "Flatten",
-    "GlobalAvgPool",
-    "Linear",
-    "MaxPool2d",
-    "Module",
-    "NegativeWeightPenalty",
-    "Parameter",
-    "QuantizedConv",
-    "QuantizedNetwork",
-    "CompositeRegularizer",
-    "RESNET_STAGES",
-    "ReLU",
-    "Sequential",
-    "SignCoherencePenalty",
-    "WeightRegularizer",
-    "SgdMomentum",
-    "SyntheticImageDataset",
-    "Trainer",
-    "TrainHistory",
-    "VGG16_LAYOUT",
-    "build_model",
-    "build_resnet",
-    "build_vgg16",
-    "fold_batchnorm",
-    "functional",
-    "load_dataset",
-    "quantize_weights",
-    "read_friendly_regularizer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "functional": ("functional",),
+        "datasets": (
+            "DATASET_SPECS",
+            "DatasetSpec",
+            "SyntheticImageDataset",
+            "load_dataset",
+        ),
+        "layers": (
+            "BasicBlock",
+            "BatchNorm2d",
+            "Conv2d",
+            "Flatten",
+            "GlobalAvgPool",
+            "Linear",
+            "MaxPool2d",
+            "Module",
+            "Parameter",
+            "ReLU",
+            "Sequential",
+        ),
+        "models": (
+            "RESNET_STAGES",
+            "VGG16_LAYOUT",
+            "ClassifierNetwork",
+            "ConvLayerInfo",
+            "build_model",
+            "build_resnet",
+            "build_vgg16",
+        ),
+        "regularizers": (
+            "CompositeRegularizer",
+            "NegativeWeightPenalty",
+            "SignCoherencePenalty",
+            "WeightRegularizer",
+            "read_friendly_regularizer",
+        ),
+        "quantize": (
+            "QuantizedConv",
+            "QuantizedNetwork",
+            "fold_batchnorm",
+            "quantize_weights",
+        ),
+        "training": (
+            "SgdMomentum",
+            "Trainer",
+            "TrainHistory",
+        ),
+    },
+)

@@ -159,8 +159,9 @@ class QuantizedConv:
         Optional fault hook applied to the raw accumulators.
     recorded_cols:
         When ``record`` is set, the most recent quantized im2col operand
-        matrix ``(pixels, C*Fy*Fx)`` — the exact stream the systolic
-        simulator replays for TER measurement.  For a grouped layer the
+        matrix ``(pixels, C*Fy*Fx)``, int64, from either forward path —
+        the exact stream the systolic simulator replays for TER
+        measurement.  For a grouped layer the
         reduction axis is the concatenation of the per-group operand
         blocks (identical to the dense im2col, channels being contiguous
         per group); group ``g`` owns columns ``group_col_spans()[g]``.
@@ -198,8 +199,6 @@ class QuantizedConv:
         self.recorded_cols: Optional[np.ndarray] = None
 
         self._lowered: Optional[List[np.ndarray]] = None
-        self._blas_weights: Optional[List[np.ndarray]] = None
-        self._blas_checked = False
         self._blas_weights_hwc: Optional[List[np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
@@ -241,20 +240,25 @@ class QuantizedConv:
             raise QuantizationError(
                 f"layer {self.name} has groups={self.groups}; use lowered_group_weights()"
             )
-        return self._lowered_weights()[0].copy()
+        return self.lowered_group_weights()[0]
 
     def lowered_group_weights(self) -> List[np.ndarray]:
-        """Per-group GEMM weight matrices ``((C/g)*Fy*Fx, K/g)``, copied."""
-        return [w.copy() for w in self._lowered_weights()]
+        """Per-group GEMM weight matrices ``((C/g)*Fy*Fx, K/g)``, built afresh.
+
+        Built from ``weight_q`` on each call, not copied from the int64
+        GEMM's memo, so a process that never runs that GEMM (a warm run,
+        or one on the BLAS walks only) holds no int64 copy of the weights.
+        """
+        k_g = self.weight_q.shape[0] // self.groups
+        return [
+            self.weight_q[g * k_g : (g + 1) * k_g].reshape(k_g, -1).T.copy()
+            for g in range(self.groups)
+        ]
 
     def _lowered_weights(self) -> List[np.ndarray]:
         """Memoized per-group lowered weight matrices (frozen post-build)."""
         if self._lowered is None:
-            k_g = self.weight_q.shape[0] // self.groups
-            self._lowered = [
-                self.weight_q[g * k_g : (g + 1) * k_g].reshape(k_g, -1).T.copy()
-                for g in range(self.groups)
-            ]
+            self._lowered = self.lowered_group_weights()
         return self._lowered
 
     def acc_bound(self) -> int:
@@ -272,24 +276,6 @@ class QuantizedConv:
         col_sums = np.abs(self.weight_q.reshape(self.out_channels, -1)).sum(axis=1)
         return int(q_max) * int(col_sums.max(initial=0))
 
-    def _blas_weight_matrix(self) -> Optional[List[np.ndarray]]:
-        """The per-group lowered weights in the widest-exact BLAS dtype.
-
-        ``None`` means no float dtype can represent the datapath exactly
-        (accumulator bound >= 2**53) and callers must fall back to the
-        int64 reference GEMM.
-        """
-        if not self._blas_checked:
-            bound = self.acc_bound()
-            if bound < (1 << 24):
-                self._blas_weights = [w.astype(np.float32) for w in self._lowered_weights()]
-            elif bound < (1 << 53):
-                self._blas_weights = [w.astype(np.float64) for w in self._lowered_weights()]
-            else:  # pragma: no cover - needs a >2**45-element reduction
-                self._blas_weights = None
-            self._blas_checked = True
-        return self._blas_weights
-
     def _blas_weights_nhwc(self) -> Optional[List[np.ndarray]]:
         """Lowered BLAS weights with the reduction re-ordered ``(fy,fx,c)``.
 
@@ -297,17 +283,22 @@ class QuantizedConv:
         the same integer products in a different order, which an exact
         datapath cannot observe — so the accumulators stay bit-identical
         while the operand gather runs over contiguous channel runs.  One
-        matrix per group, each ``(Fy*Fx*(C/g), K/g)``.
+        matrix per group, each ``(Fy*Fx*(C/g), K/g)``, in the narrowest
+        float dtype that holds every partial sum exactly: float32 below
+        an :meth:`acc_bound` of 2**24, float64 below 2**53.  ``None``
+        means neither does, and callers fall back to the int64 reference
+        GEMM.
         """
-        if self._blas_weights_hwc is None and self._blas_weight_matrix() is not None:
+        if self._blas_weights_hwc is None:
+            bound = self.acc_bound()
+            if bound >= (1 << 53):  # pragma: no cover - needs a >2**45-element reduction
+                return None
+            dtype = np.float32 if bound < (1 << 24) else np.float64
             k_g = self.weight_q.shape[0] // self.groups
-            dtype = self._blas_weights[0].dtype
             self._blas_weights_hwc = [
                 np.ascontiguousarray(
-                    self.weight_q[g * k_g : (g + 1) * k_g]
-                    .transpose(2, 3, 1, 0)
-                    .reshape(-1, k_g)
-                ).astype(dtype)
+                    self.weight_q[g * k_g : (g + 1) * k_g].transpose(2, 3, 1, 0), dtype=dtype
+                ).reshape(-1, k_g)
                 for g in range(self.groups)
             ]
         return self._blas_weights_hwc
@@ -329,10 +320,12 @@ class QuantizedConv:
         MSB-window bit flip (which lands within the 24-bit PSUM range) —
         converting the full tensor to int64 would only add memory
         traffic.  Falls back to the int64 reference on the (unreachable
-        in practice) overflow case.
+        in practice) overflow case.  With ``record`` set, keeps the int64
+        operand matrix the reference GEMM would record, built from the
+        same quantized values, in ``recorded_cols``.
         """
         w_groups = self._blas_weights_nhwc()
-        if w_groups is None:  # pragma: no cover - see _blas_weight_matrix
+        if w_groups is None:  # pragma: no cover - see _blas_weights_nhwc
             x_nchw = np.ascontiguousarray(x.transpose(0, 3, 1, 2))
             return self._grouped_int_gemm(self.quantize_input(x_nchw))
         if self.in_scale is None:
@@ -345,21 +338,22 @@ class QuantizedConv:
         np.clip(x_q, 0, q_max, out=x_q)
         x_q = x_q.astype(w_groups[0].dtype)
         fy, fx = self.weight_q.shape[2], self.weight_q.shape[3]
-        if self.groups == 1:
-            cols = _im2col_nhwc(x_q, fy, fx, stride=self.stride, padding=self.padding)
-            return cols @ w_groups[0]
         c_g = self.weight_q.shape[1]
-        accs = []
+        accs, recorded = [], []
         for g, w in enumerate(w_groups):
-            cols = _im2col_nhwc(
-                np.ascontiguousarray(x_q[..., g * c_g : (g + 1) * c_g]),
-                fy,
-                fx,
-                stride=self.stride,
-                padding=self.padding,
-            )
+            if self.groups > 1:
+                x_g = np.ascontiguousarray(x_q[..., g * c_g : (g + 1) * c_g])
+            else:
+                x_g = x_q
+            cols = _im2col_nhwc(x_g, fy, fx, stride=self.stride, padding=self.padding)
+            if self.record:
+                recorded.append(_channels_first(cols, fy * fx))
             accs.append(cols @ w)
-        return np.concatenate(accs, axis=1)
+        if self.record:
+            # The int64 path's operand matrix: the same values, in the
+            # (c, fy, fx) column order of mapper.im2col.
+            self.recorded_cols = _hstack(recorded)
+        return _hstack(accs)
 
     def accumulate_exact(self, x: np.ndarray) -> np.ndarray:
         """:meth:`accumulate_nhwc` for a channels-first ``(N, C, H, W)`` input."""
@@ -606,6 +600,23 @@ def _im2col_nhwc(
     windows = _windows_nhwc(x, fy, fx, stride)
     n, oh, ow = windows.shape[:3]
     return windows.reshape(n * oh * ow, fy * fx * x.shape[3])
+
+
+def _channels_first(cols: np.ndarray, taps: int) -> np.ndarray:
+    """int64 copy of :func:`_im2col_nhwc` columns in ``(c, fy, fx)`` order.
+
+    The column order of :func:`repro.arch.mapper.im2col`; ``taps`` is
+    ``Fy*Fx``.  Exact: the columns hold integers the BLAS dtype holds
+    exactly.
+    """
+    rows, width = cols.shape
+    out = cols.reshape(rows, taps, width // taps).transpose(0, 2, 1).astype(np.int64, order="C")
+    return out.reshape(rows, width)
+
+
+def _hstack(blocks: List[np.ndarray]) -> np.ndarray:
+    """Per-group GEMM blocks side by side (a single block as is)."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def _maxpool_nhwc(x: np.ndarray, size: int, stride: int) -> np.ndarray:

@@ -358,14 +358,14 @@ class TestCacheReadPath:
         cache, (job,) = self.stored(tmp_path)
         with zipfile.ZipFile(cache.path_for(job.key())) as archive:
             members = len(archive.namelist())
-        original = zipfile.ZipFile.read
+        original = cache_module._read_member
         calls = []
 
-        def counting(self, name, pwd=None):
-            calls.append(getattr(name, "filename", name))
-            return original(self, name, pwd)
+        def counting(data, member):
+            calls.append(member.name)
+            return original(data, member)
 
-        monkeypatch.setattr(zipfile.ZipFile, "read", counting)
+        monkeypatch.setattr(cache_module, "_read_member", counting)
         reports = cache.load(job.key(), job)
         assert len(reports) == len(job.corners)
         assert sorted(calls) == sorted(set(calls)) and len(calls) == members

@@ -327,7 +327,7 @@ class TestExactBlasGemm:
             bound = qc.acc_bound()
             assert bound < (1 << 53)
             expected = np.float32 if bound < (1 << 24) else np.float64
-            for w in qc._blas_weight_matrix():
+            for w in qc._blas_weights_nhwc():
                 assert w.dtype == expected
 
     def test_fault_free_pass_serves_frozen_arrays(self, vgg):

@@ -15,7 +15,7 @@ from repro.engine import ResultCache, SimEngine, engine_context
 from repro.experiments import RUNNERS, SCALES, common, fig10, run_all
 from repro.experiments.orchestrator import SCALELESS, VOLATILE_MANIFEST_FIELDS
 from repro.nn.datasets import SyntheticImageDataset
-from repro.nn.quantize import QuantizedNetwork
+from repro.nn.quantize import QuantizedDynamicMatmul, QuantizedNetwork
 
 SMALLEST = SCALES["micro"]
 
@@ -163,8 +163,16 @@ class TestCacheReuse:
         def forbidden(*args, **kwargs):
             raise AssertionError("a warm bundle reload ran a quantized forward")
 
+        forward_nhwc = QuantizedNetwork._forward_nhwc
+
+        def recording_only(qnet, *args, **kwargs):
+            # Recording the operand streams runs this walk; nothing else may.
+            if not all(qc.record for qc in qnet.qconvs(include_shortcuts=True)):
+                forbidden()
+            return forward_nhwc(qnet, *args, **kwargs)
+
         monkeypatch.setattr(QuantizedNetwork, "evaluate", forbidden)
-        monkeypatch.setattr(QuantizedNetwork, "_forward_nhwc", forbidden)
+        monkeypatch.setattr(QuantizedNetwork, "_forward_nhwc", recording_only)
         drawn = []
         sample = SyntheticImageDataset.sample
 
@@ -183,6 +191,35 @@ class TestCacheReuse:
         # Each job's entry once, plus one clean-accuracy entry per bundle.
         assert len(loads.loaded) == len(warm.manifest["jobs"]) + len(common._BUNDLE_CACHE)
         assert warm.texts == cold.texts
+
+    def test_int64_recording_reproduces_every_job_key(
+        self, sweeps, cache_dir, tmp_path, monkeypatch
+    ):
+        # Job keys hash the recorded operand streams, which a conv network
+        # records on the BLAS walk.  Recorded on the int64 forward instead
+        # (the oracle, and the path before), every key must be the cold
+        # run's: the warm cache then answers every job.
+        cold, _ = sweeps
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+
+        def int64_recording(qnet, x_images):
+            qnet.set_recording(True)
+            try:
+                qnet.forward(x_images)
+                return {
+                    op.name: op.recorded_operands
+                    if isinstance(op, QuantizedDynamicMatmul)
+                    else op.recorded_cols
+                    for op in qnet.gemm_ops()
+                }
+            finally:
+                qnet.set_recording(False)
+
+        monkeypatch.setattr(common, "record_operand_streams", int64_recording)
+        engine = SimEngine(backend="vector", jobs=1, cache_dir=cache_dir)
+        oracle = run_all(scale=SMALLEST, artifacts_dir=tmp_path / "int64", engine=engine)
+        assert sorted(oracle.manifest["jobs"]) == sorted(cold.manifest["jobs"])
+        assert engine.stats.misses == 0 and engine.stats.hits == len(cold.manifest["jobs"])
 
     def test_manifests_byte_identical_modulo_timing(self, sweeps):
         cold, warm = sweeps

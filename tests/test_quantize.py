@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QuantizationError
-from repro.experiments.common import SCALES, get_bundle
+from repro.experiments.common import MODEL_RECIPES, SCALES, get_bundle, record_operand_streams
 from repro.nn.datasets import DatasetSpec, SyntheticImageDataset
 from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.models import build_model
@@ -234,3 +234,41 @@ class TestCleanEvaluationOracle:
                 x, y, topk=topk, batch_size=batch_size, injector=identity
             )
             assert clean == oracle
+
+
+#: Every recipe whose network is a conv network (the mixer is a token network).
+CONV_RECIPES = sorted(name for name, (model, _) in MODEL_RECIPES.items() if model != "mixer")
+
+
+class TestRecordingOnBlasWalk:
+    """A conv network records its operand streams on the exact BLAS walk;
+    the int64 forward, which recorded them before, is the oracle: every
+    GEMM's int64 operand matrix must equal its own byte for byte (the
+    matrices feed the job keys)."""
+
+    @pytest.mark.parametrize("recipe", CONV_RECIPES)
+    def test_streams_equal_the_int64_forward(self, recipe, monkeypatch):
+        bundle = get_bundle(recipe, MICRO)
+        qnet, x = bundle.qnet, bundle.test_images(8)[0]
+        assert isinstance(qnet, QuantizedNetwork)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("recording ran the int64 forward")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(QuantizedNetwork, "forward", forbidden)
+            streams = record_operand_streams(qnet, x)
+        qnet.set_recording(True)
+        try:
+            qnet.forward(x)
+            want = {op.name: op.recorded_cols for op in qnet.gemm_ops()}
+        finally:
+            qnet.set_recording(False)
+        assert list(streams) == list(want)
+        for name, cols in want.items():
+            got = streams[name]
+            assert got.dtype == cols.dtype == np.int64, name
+            assert got.shape == cols.shape and got.flags.c_contiguous, name
+            assert got.tobytes() == cols.tobytes(), name
+        if recipe.startswith("mobilenet"):
+            assert any(qc.groups > 1 for qc in qnet.qconvs())

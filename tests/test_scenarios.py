@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import get_bundle, get_scale
-from repro.experiments.sweep import render, run_suite, scenario_bundle
+from repro.experiments.common import clean_accuracy, drive, get_bundle, get_scale
+from repro.experiments.sweep import render, run_suite, scenario_bundle, scenario_steps
 from repro.faults.injection import BitFlipInjector, measure_active_msbs
 from repro.faults.injection_job import run_injection_trials
 from repro.hw.variations import AGING_VT_5, IDEAL, TER_EVAL_CORNER
@@ -205,6 +205,23 @@ class TestRunSuite:
                 assert 0.0 <= acc <= 1.0
         text = render(result)
         assert "dw1 [g=" in text and "fc" in text
+
+    def test_topk_scenario_reports_its_clean_topk_accuracy(self):
+        # The report (and so the rendering and the manifest) labels the
+        # clean accuracy top-{topk}: it must be measured that way, not be
+        # the bundle's top-1 value.
+        sc = Scenario(
+            name="top3",
+            recipe="vgg16_cifar100",
+            strategies=("baseline",),
+            corners=(TER_EVAL_CORNER,),
+            topk=3,
+        )
+        report = drive(scenario_steps(sc, MICRO))
+        bundle = scenario_bundle(sc, MICRO)
+        assert report.quant_accuracy == clean_accuracy(bundle, 3)
+        # On this bundle the two protocols differ (0.125 against 0.0).
+        assert clean_accuracy(bundle, 3) != bundle.quant_accuracy
 
     def test_scenario_bundle_resolves_bits(self):
         sc = get_suite("mixed-precision")[0]
