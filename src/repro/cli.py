@@ -532,20 +532,11 @@ def _run_cache(args) -> int:
     """``read-repro cache stats|gc``: direct, lock-safe store maintenance."""
     from .engine import ResultCache
 
-    from .engine.arena import default_arena
-
     cache = ResultCache()
-    arena = default_arena()
     if args.cache_command == "stats":
         print(f"cache[{cache.root}]: {cache.stats().describe()}")
-        if arena is not None:
-            print(f"arena[{arena.root}]: {arena.stats().describe()}")
     else:
         print(f"cache[{cache.root}]: {cache.gc(max_bytes=args.max_bytes).describe()}")
-        if arena is not None:
-            # Reclaim operand-arena segments orphaned by killed workers
-            # alongside the result store's own orphan sweep.
-            print(f"arena[{arena.root}]: {arena.sweep().describe()}")
     return 0
 
 
@@ -569,13 +560,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         use_cache=False if args.no_cache else None,
     )
-    try:
-        with _each_warning_once():
-            return _run_engine_command(args, engine)
-    finally:
-        # Sweeps the operand arena: without it the segments this run
-        # published outlive the process (atexit only drops leases).
-        engine.close()
+    with _each_warning_once():
+        return _run_engine_command(args, engine)
 
 
 @contextmanager

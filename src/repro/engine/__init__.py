@@ -32,19 +32,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "arena": (
-            "ARENA_DIR_ENV",
-            "ARENA_GATE_ENV",
-            "ArenaEntry",
-            "ArenaStats",
-            "ArenaSweepReport",
-            "OperandArena",
-            "arena_enabled",
-            "arena_root",
-            "default_arena",
-            "reset_default_arena",
-            "shutdown_arena",
-        ),
         "backends": (
             "ReferenceBackend",
             "SimulationBackend",

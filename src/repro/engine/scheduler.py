@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 import warnings
 from contextlib import contextmanager
@@ -99,11 +98,10 @@ def _execute_job(factory: Callable[[], SimulationBackend], job: EngineJob):
     job (mirroring ``SimJob.build_plan``'s plan memo).
 
     Returns ``(result, counters)``: the runtime work-avoidance counters
-    (deduped trials, arena traffic) accumulated in this worker
-    while the job ran travel home with the result and fold into the
-    submitting engine's :class:`EngineMetrics`.  The submitting process
-    already diagnosed the job, so the planner does not repeat the
-    diagnostic here.
+    (deduped trials) accumulated in this worker while the job ran travel
+    home with the result and fold into the submitting engine's
+    :class:`EngineMetrics`.  The submitting process already diagnosed
+    the job, so the planner does not repeat the diagnostic here.
     """
     _drained_counters()  # stray counters from before this job are not ours
     with plans_diagnosed():
@@ -209,15 +207,6 @@ class EngineMetrics:
     #: Injection trials whose flip draws collapsed onto an
     #: already-evaluated representative (zero-flip or duplicate draws).
     trials_deduped: int = 0
-    #: Shared-memory operand arena traffic: segments attached instead of
-    #: rebuilt, and segments published by this process's jobs.
-    arena_hits: int = 0
-    arena_stores: int = 0
-    #: Arena operations that degraded to a local rebuild after an OS or
-    #: layout error (publish/attach/sweep failures).  The arena is a
-    #: best-effort optimization, so these are never fatal — but a
-    #: non-zero count is the visible trace of the degradation.
-    arena_errors: int = 0
 
     @property
     def total(self) -> int:
@@ -237,10 +226,6 @@ class EngineMetrics:
                 f"; {self.trials_pruned} trial(s) pruned, "
                 f"{self.trials_deduped} deduped"
             )
-        if self.arena_hits or self.arena_stores or self.arena_errors:
-            text += f"; arena: {self.arena_hits} hit(s), {self.arena_stores} store(s)"
-        if self.arena_errors:
-            text += f", {self.arena_errors} error(s)"
         return text
 
     def as_dict(self) -> Dict[str, object]:
@@ -327,9 +312,6 @@ class SimEngine:
         self.keep_pool = keep_pool
         self.remote = remote
         self._persistent_pool: Optional[ProcessPoolExecutor] = None
-        #: Whether a worker pool ever ran for this engine: its workers may
-        #: have published arena segments that :meth:`close` must sweep.
-        self._pooled = False
         #: Latched (with a monotonic timestamp) after a failed daemon
         #: probe so a long sweep stays in-process rather than re-probing
         #: per batch.  The latch *expires* — after
@@ -373,7 +355,6 @@ class SimEngine:
         """
         from concurrent.futures import ProcessPoolExecutor
 
-        self._pooled = True
         if self.keep_pool:
             if self._persistent_pool is None:
                 self._persistent_pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -383,25 +364,10 @@ class SimEngine:
                 yield pool
 
     def close(self) -> None:
-        """Release the persistent pool (no-op without ``keep_pool``) and
-        this process's operand-arena leases.
-
-        Forked pool workers leave through ``os._exit`` and run no
-        ``atexit`` hook, so they exit still holding their leases (as
-        does a SIGKILLed worker); after the pool shutdown the follow-up
-        sweep detects those pid-named leases as dead and reclaims every
-        segment the engine's fan-out was keeping alive.  An engine that
-        ran no pool, in a process that never loaded the arena (a warm
-        run: every job a cache hit), has published nothing to sweep and
-        leaves the arena module unloaded.
-        """
+        """Release the persistent pool (no-op without ``keep_pool``)."""
         if self._persistent_pool is not None:
             self._persistent_pool.shutdown()
             self._persistent_pool = None
-        if self._pooled or f"{__package__}.arena" in sys.modules:
-            from .arena import shutdown_arena
-
-            shutdown_arena()
 
     # ------------------------------------------------------------------ #
     def _remote_client(self) -> Optional[EngineClient]:

@@ -235,14 +235,6 @@ class EngineServer:
             raise ProtocolError("this daemon runs with the cache disabled")
         return cache
 
-    @staticmethod
-    def _arena_stats() -> Optional[Dict[str, object]]:
-        """Registry snapshot of the operand arena (None when disabled)."""
-        from .arena import default_arena
-
-        arena = default_arena()
-        return arena.stats().as_dict() if arena is not None else None
-
     def _status(self) -> Dict[str, object]:
         cache = self.engine.cache
         return {
@@ -254,7 +246,6 @@ class EngineServer:
             "inflight": len(self._inflight),
             "rss_kb": _rss_kb(),
             "cache": cache.stats().as_dict() if cache is not None else None,
-            "arena": self._arena_stats(),
         }
 
     def _metrics_dump(self) -> Dict[str, object]:
@@ -266,7 +257,6 @@ class EngineServer:
             "uptime_seconds": time.time() - self.started,
             "rss_kb": _rss_kb(),
             "cache": cache.stats().as_dict() if cache is not None else None,
-            "arena": self._arena_stats(),
         }
 
     # ------------------------------------------------------------------ #
@@ -335,9 +325,9 @@ class EngineServer:
 
     def _run_counted(self, fn):
         """Run one engine call under the run lock, capturing the runtime
-        work-avoidance counters (deduped trials, arena traffic)
-        it accumulated — the per-request delta the job-outcome counters
-        in ``_handle_batch``/``_handle_stream`` cannot see, because the
+        work-avoidance counters (deduped trials) it accumulated — the
+        per-request delta the job-outcome counters in
+        ``_handle_batch``/``_handle_stream`` cannot see, because the
         engine folds them straight into its lifetime stats."""
         with self._run_lock:
             before = self.engine.stats.snapshot()
@@ -346,8 +336,6 @@ class EngineServer:
         return value, {
             "trials_pruned": diff.trials_pruned,
             "trials_deduped": diff.trials_deduped,
-            "arena_hits": diff.arena_hits,
-            "arena_stores": diff.arena_stores,
         }
 
     # ------------------------------------------------------------------ #

@@ -380,13 +380,11 @@ def run_campaign(
             "recalled_shards": recalled_shards,
             # Work-avoidance counters of the batched injection runtime
             # (``trials_pruned`` stays 0: the lanes walk prunes no
-            # masked trials) and the shared-memory operand arena.
-            # Volatile by nature: resumed runs recall shards from the
-            # cache and never re-execute the trials behind these events.
+            # masked trials).  Volatile by nature: resumed runs recall
+            # shards from the cache and never re-execute the trials
+            # behind these events.
             "trials_pruned": stats.trials_pruned,
             "trials_deduped": stats.trials_deduped,
-            "arena_hits": stats.arena_hits,
-            "arena_stores": stats.arena_stores,
         },
     }
 
@@ -461,12 +459,8 @@ def render(result: CampaignResult) -> str:
         )
         + (
             f"\nruntime: {run['trials_pruned']} trial(s) pruned, "
-            f"{run['trials_deduped']} deduped; arena: {run['arena_hits']} "
-            f"hit(s), {run['arena_stores']} store(s)"
-            if any(
-                run.get(k)
-                for k in ("trials_pruned", "trials_deduped", "arena_hits", "arena_stores")
-            )
+            f"{run['trials_deduped']} deduped"
+            if run.get("trials_pruned") or run.get("trials_deduped")
             else ""
         )
     )

@@ -83,23 +83,17 @@ _PASS_CACHE_MAX_BYTES = 1 << 29  # 512 MB per worker process
 _MSB_CACHE: "OrderedDict[Tuple, Dict[str, int]]" = OrderedDict()
 _MSB_CACHE_MAX = 32
 
-#: Per-process work-avoidance counters of the lanes runtime and the
-#: shared-memory operand arena.  Accumulated here (the execution layer),
-#: drained by the scheduler into :class:`~repro.engine.scheduler.EngineMetrics`
-#: — pool workers drain after each job and ship the deltas home with the
-#: result.
+#: Per-process work-avoidance counters of the lanes runtime.  Accumulated
+#: here (the execution layer), drained by the scheduler into
+#: :class:`~repro.engine.scheduler.EngineMetrics` — pool workers drain
+#: after each job and ship the deltas home with the result.
 _RUNTIME_COUNTERS: Dict[str, int] = {}
 
-_RUNTIME_COUNTER_FIELDS = (
-    "trials_deduped",
-    "arena_hits",
-    "arena_stores",
-    "arena_errors",
-)
+_RUNTIME_COUNTER_FIELDS = ("trials_deduped",)
 
 
 def record_runtime_counters(**deltas: int) -> None:
-    """Accumulate trial-dedup/arena events in this process."""
+    """Accumulate trial-dedup events in this process."""
     for name, value in deltas.items():
         if name not in _RUNTIME_COUNTER_FIELDS:
             raise ConfigurationError(f"unknown runtime counter {name!r}")
@@ -188,92 +182,6 @@ def _pass_cache_get(key: Tuple, build) -> "FaultFreePass":
     ):
         _PASS_CACHE.popitem(last=False)
     return value
-
-# ---------------------------------------------------------------------- #
-# Shared-memory operand arena bridge
-#
-# Campaign fan-out (pool workers, daemon requests, sharded CLI runs)
-# rebuilds identical big operands per process.  The bridge stores the
-# bundle-keyed fault-free prefix pass (every layer's activations and
-# accumulators — the dominant per-process cost and RSS of a batched
-# campaign) in the host-wide arena (:mod:`repro.engine.arena`), so every
-# process after the first attaches it zero-copy instead of recomputing.
-# The lowered GEMM weights are not shared: each process lowers them on
-# its first quantized pass over the bundle.
-#
-# Payloads round-trip as raw bytes, so arena-served operands are
-# bit-identical to locally built ones; any arena failure falls back to a
-# local rebuild.  Keys derive from ``InjectionJob._cache_identity()``
-# plus the schema version — exactly the determinism domain of the
-# per-process ``_PASS_CACHE``.
-# ---------------------------------------------------------------------- #
-
-
-def _arena_pass_key(identity: Tuple) -> str:
-    return f"ffpass:v{INJECTION_SCHEMA_VERSION}:{identity!r}"
-
-
-def _pass_arrays(prefix: FaultFreePass) -> Dict[str, np.ndarray]:
-    arrays: Dict[str, np.ndarray] = {}
-    for i, arr in enumerate(prefix.op_outputs):
-        arrays[f"op{i}"] = arr
-    for name, arr in prefix.conv_out.items():
-        arrays[f"co:{name}"] = arr
-    for name, arr in prefix.acc.items():
-        arrays[f"acc:{name}"] = arr
-    return arrays
-
-
-def _pass_meta(prefix: FaultFreePass) -> Dict[str, object]:
-    return {
-        "n_images": prefix.n_images,
-        "n_ops": len(prefix.op_outputs),
-        "conv_names": list(prefix.conv_out.keys()),
-        "acc_names": list(prefix.acc.keys()),
-        "max_abs_acc": {name: int(v) for name, v in prefix.max_abs_acc.items()},
-    }
-
-
-def _pass_from_entry(entry) -> Optional[FaultFreePass]:
-    """Rebuild a :class:`FaultFreePass` over arena-mapped array views.
-
-    The views are read-only, satisfying the pass's frozen-array
-    contract; ``None`` on any layout mismatch sends the caller to a
-    local rebuild.
-    """
-    try:
-        meta, arrays = entry.meta, entry.arrays
-        return FaultFreePass(
-            n_images=int(meta["n_images"]),
-            op_outputs=[arrays[f"op{i}"] for i in range(int(meta["n_ops"]))],
-            conv_out={n: arrays[f"co:{n}"] for n in meta["conv_names"]},
-            acc={n: arrays[f"acc:{n}"] for n in meta["acc_names"]},
-            max_abs_acc={n: int(v) for n, v in meta["max_abs_acc"].items()},
-        )
-    except (KeyError, ValueError, TypeError, AttributeError):
-        # Arena layout drift (e.g. an entry published by an older
-        # schema): fall back to a locally built pass.
-        record_runtime_counters(arena_errors=1)
-        return None
-
-
-def _arena_pass(network: "QuantizedNetwork", x: np.ndarray, identity: Tuple) -> FaultFreePass:
-    """Fault-free pass via the arena: attach if published, else build+publish."""
-    from ..engine.arena import default_arena
-
-    arena = default_arena()
-    key = _arena_pass_key(identity)
-    if arena is not None:
-        entry = arena.attach(key)
-        if entry is not None:
-            prefix = _pass_from_entry(entry)
-            if prefix is not None:
-                record_runtime_counters(arena_hits=1)
-                return prefix
-    prefix = network.fault_free_pass(x)
-    if arena is not None and arena.publish(key, _pass_arrays(prefix), _pass_meta(prefix)):
-        record_runtime_counters(arena_stores=1)
-    return prefix
 
 
 #: Scale fields that determine the trained bundle and hence the result.
@@ -702,9 +610,7 @@ class InjectionJob(EngineJob):
         if bers and any(b > 0.0 for b in bers.values()):
             key = self._cache_identity()
             if resolved == "batched":
-                prefix = _pass_cache_get(
-                    key, lambda: _arena_pass(bundle.qnet, x, key)
-                )
+                prefix = _pass_cache_get(key, lambda: bundle.qnet.fault_free_pass(x))
             elif self.mode == "relative":
                 from .injection import measure_active_msbs
 

@@ -341,10 +341,7 @@ class QuantizedConv:
         c_g = self.weight_q.shape[1]
         accs, recorded = [], []
         for g, w in enumerate(w_groups):
-            if self.groups > 1:
-                x_g = np.ascontiguousarray(x_q[..., g * c_g : (g + 1) * c_g])
-            else:
-                x_g = x_q
+            x_g = x_q[..., g * c_g : (g + 1) * c_g]
             cols = _im2col_nhwc(x_g, fy, fx, stride=self.stride, padding=self.padding)
             if self.record:
                 recorded.append(_channels_first(cols, fy * fx))
@@ -593,10 +590,13 @@ def _im2col_nhwc(
     elements instead of ``fx`` — the difference between a byte-wise and a
     cache-line-wise copy on channels-heavy layers.  Pair with
     :meth:`QuantizedConv._blas_weights_nhwc`, which re-orders the weight
-    rows to match.
+    rows to match.  ``x`` may be a strided view (a group's channel slice).
     """
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+        n, h, w, c = x.shape
+        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        padded[:, padding : padding + h, padding : padding + w] = x
+        x = padded
     windows = _windows_nhwc(x, fy, fx, stride)
     n, oh, ow = windows.shape[:3]
     return windows.reshape(n * oh * ow, fy * fx * x.shape[3])

@@ -119,7 +119,7 @@ def legacy_cache(tmp_path, monkeypatch):
     """A fresh cache holding a parameters-only VGG state file.
 
     Written by :func:`save_model_state` without ``calibration``, as older
-    versions and the campaign/arena test fixtures write it.
+    versions and the campaign and `/dev/shm` test fixtures write it.
     """
     trained = get_bundle(RECIPE, MICRO)
     state = tmp_path / (

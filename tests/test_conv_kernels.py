@@ -8,6 +8,10 @@ byte, the plain ``as_strided`` window copy and the NCHW scatter-add they
 replaced.  Those are kept here as the oracles: the kernels are compared
 on a seeded shape grid, and whole training epochs are compared with the
 oracles monkeypatched into :mod:`repro.nn.functional`.
+
+The quantized path's channels-last ``_im2col_nhwc`` zero-borders its
+input the same way, and is compared likewise against the ``np.pad``
+version it replaced.
 """
 
 import itertools
@@ -20,6 +24,7 @@ from repro.nn import functional as F
 from repro.nn.datasets import DatasetSpec, SyntheticImageDataset
 from repro.nn.layers import BatchNorm2d
 from repro.nn.models import build_model
+from repro.nn.quantize import _im2col_nhwc, _windows_nhwc
 from repro.nn.training import Trainer
 
 
@@ -42,6 +47,15 @@ def reference_im2col(inputs, fy, fx, stride=1, padding=0):
     )
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * fy * fx)
     return np.ascontiguousarray(cols)
+
+
+def reference_im2col_nhwc(x, fy, fx, stride, padding):
+    """Channels-last windows over an ``np.pad`` copy of the input."""
+    if padding:
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    windows = _windows_nhwc(x, fy, fx, stride)
+    n, oh, ow = windows.shape[:3]
+    return windows.reshape(n * oh * ow, fy * fx * x.shape[3])
 
 
 def reference_col2im(cols, x_shape, fy, fx, stride, padding):
@@ -97,6 +111,25 @@ class TestIm2colOracle:
             assert got.dtype == expected.dtype and got.shape == expected.shape, case
             assert got.flags.c_contiguous, case
             assert got.tobytes() == expected.tobytes(), case
+
+
+class TestIm2colNhwcOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_byte_equal_on_grid(self, dtype, groups):
+        """Whole inputs, and each group's channel slice: the strided view a
+        grouped conv passes in."""
+        rng = np.random.default_rng(13)
+        for n, c, (h, w), (fy, fx), stride, padding in GRID:
+            drawn = np.int64 if dtype == np.int64 else np.float64
+            x = _draw(rng, (n, h, w, c * groups), drawn).astype(dtype)
+            for g in range(groups):
+                x_g = x[..., g * c : (g + 1) * c]
+                expected = reference_im2col_nhwc(x_g, fy, fx, stride, padding)
+                got = _im2col_nhwc(x_g, fy, fx, stride=stride, padding=padding)
+                case = (n, c, h, w, fy, fx, stride, padding, g)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, case
+                assert got.tobytes() == expected.tobytes(), case
 
 
 class TestCol2imOracle:

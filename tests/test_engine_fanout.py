@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine import SimEngine, SimJob, arena, job
+from repro.engine import SimEngine, SimJob, job
 from repro.engine.backends import backend_factory
 from repro.engine.job import EngineJob
 from repro.experiments.common import SCALES, get_bundle
@@ -38,15 +38,6 @@ FAN_OUT = max(3, 2 * (os.cpu_count() or 1))
 @pytest.fixture(scope="module")
 def bundle():
     return get_bundle("vgg16_cifar10", MICRO)
-
-
-@pytest.fixture(autouse=True)
-def private_arena(tmp_path, monkeypatch):
-    monkeypatch.setenv(arena.ARENA_DIR_ENV, str(tmp_path / "arena"))
-    arena.reset_default_arena()
-    yield
-    arena.shutdown_arena()
-    arena.reset_default_arena()
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 The package ``__init__`` modules resolve their public names on first
 access (PEP 562), and modules that only some commands or pool workers
 run are imported where they are used.  So ``import repro.cli`` loads no
-daemon, campaign, sweep, trainer, bit-flip injector, operand arena or
-process pool, while every public name the packages export, the backend
+daemon, campaign, sweep, trainer, bit-flip injector or process pool (nor
+the ``engine.arena`` placeholder, which only the benchmark tracer
+imports), while every public name the packages export, the backend
 registry and the runner registry stay what they were.
 """
 
@@ -73,17 +74,15 @@ PUBLIC_NAMES = {
         "submatrix_sign_difference", "top_fraction_nonnegative_ratio",
     ),
     "repro.engine": (
-        "ARENA_DIR_ENV", "ARENA_GATE_ENV", "ArenaEntry", "ArenaStats",
-        "ArenaSweepReport", "CACHE_ENV_VAR", "CACHE_MAX_BYTES_ENV_VAR",
-        "CACHE_SCHEMA_VERSION", "CacheGcReport", "CacheStats", "ENGINE_SOCKET_ENV",
-        "EngineClient", "EngineClientError", "EngineJob", "EngineMetrics",
-        "EngineServer", "EngineStats", "NetworkJob", "OperandArena",
-        "PROTOCOL_VERSION", "ProtocolError", "ReferenceBackend", "ResultCache",
-        "SimEngine", "SimJob", "SimulationBackend", "VectorBackend", "arena_enabled",
-        "arena_root", "backend_factory", "backend_names", "cache_root",
-        "configure_default_engine", "default_arena", "default_engine",
+        "CACHE_ENV_VAR", "CACHE_MAX_BYTES_ENV_VAR", "CACHE_SCHEMA_VERSION",
+        "CacheGcReport", "CacheStats", "ENGINE_SOCKET_ENV", "EngineClient",
+        "EngineClientError", "EngineJob", "EngineMetrics", "EngineServer",
+        "EngineStats", "NetworkJob", "PROTOCOL_VERSION", "ProtocolError",
+        "ReferenceBackend", "ResultCache", "SimEngine", "SimJob",
+        "SimulationBackend", "VectorBackend", "backend_factory", "backend_names",
+        "cache_root", "configure_default_engine", "default_engine",
         "engine_context", "feed_hash", "get_backend", "job_key", "register_backend",
-        "reset_default_arena", "reset_default_engine", "serve", "shutdown_arena",
+        "reset_default_engine", "serve",
     ),
     "repro.experiments": (
         "ALL_STRATEGIES", "CampaignResult", "ExperimentScale", "LayerTerRecord",

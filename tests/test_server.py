@@ -218,12 +218,6 @@ class TestEngineMetrics:
         assert ", 3 coalesced" in stats.describe()
         assert stats.total == 6
 
-    def test_describe_surfaces_arena_errors(self):
-        stats = EngineStats(hits=1, arena_hits=2)
-        assert "error(s)" not in stats.describe()
-        stats.merge({"arena_errors": 3})
-        assert ", 3 error(s)" in stats.describe()
-
     def test_merge_folds_known_keys_and_ignores_the_rest(self):
         stats = EngineStats(hits=1)
         stats.merge({"hits": 2, "coalesced": 4, "backend": "vector", "junk": 9})
