@@ -73,8 +73,8 @@ INJECTION_RUNTIMES = ("batched", "serial")
 #: BER tables — share one recorded pass instead of each re-running the
 #: quantized im2col prefix.  Keyed by the bundle identity + injected
 #: slice; LRU bounded both by entry count and by total bytes (each pass
-#: pins every layer's accumulator/output tensors, which grows with
-#: ``inject_n`` — see :meth:`~repro.nn.quantize.FaultFreePass.nbytes`).
+#: pins every conv's accumulators, which grow with ``inject_n`` — see
+#: :meth:`~repro.nn.quantize.FaultFreePass.nbytes`).
 _PASS_CACHE: "OrderedDict[Tuple, FaultFreePass]" = OrderedDict()
 _PASS_CACHE_MAX = 4
 _PASS_CACHE_MAX_BYTES = 1 << 29  # 512 MB per worker process

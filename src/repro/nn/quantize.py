@@ -356,14 +356,24 @@ class QuantizedConv:
         """:meth:`accumulate_nhwc` for a channels-first ``(N, C, H, W)`` input."""
         return self.accumulate_nhwc(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
 
-    def epilogue_nhwc(self, acc: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-        """Dequantize raw accumulators ``(n*OH*OW, K)`` into ``(n, OH, OW, K)``."""
-        _, _, fy, fx = self.weight_q.shape
+    def dequantize_nhwc(self, acc: np.ndarray, oh: int, ow: int) -> np.ndarray:
+        """Dequantize raw accumulators ``(rows, K)`` into ``(rows/(OH*OW), OH, OW, K)``.
+
+        The one op sequence every channels-last output comes from: the
+        fault-free forward's, a trial's, and a fault-free output the
+        lanes walk rebuilds from recorded accumulators, which is
+        therefore bit-identical to the one the forward computed.
+        """
         out = acc.astype(np.float64)
         out *= self.in_scale * self.w_scale
         out += self.bias[None, :]
+        return out.reshape(-1, oh, ow, self.out_channels)
+
+    def epilogue_nhwc(self, acc: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+        """Dequantize raw accumulators ``(n*OH*OW, K)`` into ``(n, OH, OW, K)``."""
+        _, _, fy, fx = self.weight_q.shape
         oh, ow = F.conv_out_hw(h, w, fy, fx, self.stride, self.padding)
-        return out.reshape(n, oh, ow, self.out_channels)
+        return self.dequantize_nhwc(acc, oh, ow)
 
     def epilogue(self, acc: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
         """Dequantize raw accumulators ``(n*OH*OW, K)`` into the float output."""
@@ -638,38 +648,58 @@ def _to_nchw(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FaultFreePass:
-    """One recorded fault-free forward of a :class:`QuantizedNetwork`.
+    """One recorded fault-free forward: what the trial walks read of it.
 
     The batched injection runtime's operand cache: campaigns over the
     same ``(network, inputs)`` pair share
 
-    * ``op_outputs`` — each top-level op's output (channels-last, the
-      lanes walk's native layout), so layers before the first injected
-      layer cost nothing per campaign (the shared fault-free prefix);
-    * ``acc`` / ``conv_out`` — every conv's raw integer accumulators and
-      float output, so the *first* injected layer of a campaign re-uses
-      the already-computed accumulators (its input is still fault-free)
-      and only pays for the bit flips;
+    * ``acc`` — every conv's raw integer accumulators ``(N*OH*OW, K)``,
+      in the BLAS float dtype that holds them exactly, so a campaign's
+      trials fork from them at their first effective flip and pay only
+      for the bit flips.  A side of a residual join that is still
+      fault-free is rebuilt from them with
+      :meth:`QuantizedConv.dequantize_nhwc`, bit-identical to the
+      output the forward computed;
+    * ``out_hw`` — every conv's output ``(OH, OW)`` (a fork has no input
+      tensor to derive it from);
+    * ``block_inputs`` — the channels-last input of each residual block
+      with an identity shortcut, keyed by op index: the fault-free side
+      of its join;
+    * ``features`` — the final channels-last ``(N, 1, 1, classes)``
+      state, which every trial still on the fault-free lane scores;
     * ``max_abs_acc`` — the per-layer full-batch accumulator maxima that
       fix the relative-mode flip window (the determinism contract: flip
       positions depend on the full injected batch, never on evaluation
       chunking).
 
-    All stored arrays are read-only; consumers copy on write.
+    No other op output is kept: ops before the first injected layer cost
+    nothing because a trial on the fault-free lane carries no tensor at
+    all.  A :class:`QuantizedTokenNetwork` pass holds ``max_abs_acc``
+    only, since its serial trial loop reads nothing else.  All stored
+    arrays are read-only; consumers copy on write.
     """
 
     n_images: int
-    op_outputs: List[np.ndarray] = field(default_factory=list)
-    conv_out: Dict[str, np.ndarray] = field(default_factory=dict)
     acc: Dict[str, np.ndarray] = field(default_factory=dict)
+    out_hw: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    block_inputs: Dict[int, np.ndarray] = field(default_factory=dict)
+    features: Optional[np.ndarray] = None
     max_abs_acc: Dict[str, int] = field(default_factory=dict)
 
     def nbytes(self) -> int:
-        """Approximate memory footprint of the stored arrays (the pass
-        LRU in :mod:`repro.faults.injection_job` is bounded by entry
-        count and by total bytes)."""
-        arrays = list(self.op_outputs) + list(self.conv_out.values()) + list(self.acc.values())
-        return sum(a.nbytes for a in arrays)
+        """Bytes of the distinct buffers the stored arrays pin, each counted
+        once however many fields or views share it (the pass LRU in
+        :mod:`repro.faults.injection_job` is bounded by entry count and by
+        total bytes)."""
+        arrays = [*self.acc.values(), *self.block_inputs.values()]
+        if self.features is not None:
+            arrays.append(self.features)
+        owners: Dict[int, int] = {}
+        for arr in arrays:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            owners[id(arr)] = arr.nbytes
+        return sum(owners.values())
 
 
 #: A lanes walk's state: the diverged classes' stacked tensor, class
@@ -913,15 +943,16 @@ class QuantizedNetwork:
         self,
         x: np.ndarray,
         on_conv: Optional[Callable[[QuantizedConv, np.ndarray, np.ndarray], None]] = None,
-        on_op: Optional[Callable[[np.ndarray], None]] = None,
+        on_identity_input: Optional[Callable[[int, np.ndarray], None]] = None,
     ) -> np.ndarray:
         """The fault-free forward, channels-last, on exact BLAS GEMMs.
 
         Convolutions run through :meth:`QuantizedConv.accumulate_nhwc`
         (bit-identical to the int64 reference, at a fraction of its
         cost).  ``on_conv(qc, acc, out)`` sees every conv's raw
-        accumulators and float output, ``on_op(state)`` every top-level
-        op's output.  Returns the final ``(N, 1, 1, classes)`` state.
+        accumulators and float output, ``on_identity_input(i, state)``
+        the input of every identity-shortcut block (op index ``i``).
+        Returns the final ``(N, 1, 1, classes)`` state.
         """
         if not self._calibrated:
             raise QuantizationError("call calibrate(batch) before inference")
@@ -935,10 +966,12 @@ class QuantizedNetwork:
             return out
 
         state = _to_nhwc(x)
-        for op in self._ops:
+        for i, op in enumerate(self._ops):
             if isinstance(op, QuantizedConv):
                 state = run_conv(op, state)
             elif isinstance(op, _QBlock):
+                if op.qshortcut is None and on_identity_input is not None:
+                    on_identity_input(i, state)
                 main = np.maximum(run_conv(op.qconv1, state), 0.0)
                 main = run_conv(op.qconv2, main)
                 residual = (
@@ -951,25 +984,27 @@ class QuantizedNetwork:
                 state = self._module_nhwc(op, state)
             else:  # pragma: no cover - defensive, mirrors _forward_features
                 raise TrainingError(f"unexpected op {op!r}")
-            if on_op is not None:
-                on_op(state)
         return state
 
     def fault_free_pass(self, x: np.ndarray) -> FaultFreePass:
         """Record one fault-free forward as a :class:`FaultFreePass`.
 
         Runs :meth:`_forward_nhwc`, so building the pass already costs a
-        fraction of a serial forward.
+        fraction of a serial forward, and keeps only what the lanes walk
+        reads: no conv's float output survives the walk.
         """
         pass_ = FaultFreePass(n_images=x.shape[0])
 
         def record_conv(qc: QuantizedConv, acc: np.ndarray, out: np.ndarray) -> None:
             pass_.acc[qc.name] = _frozen(acc)
-            pass_.conv_out[qc.name] = _frozen(out)
+            pass_.out_hw[qc.name] = (out.shape[1], out.shape[2])
             pass_.max_abs_acc[qc.name] = int(np.abs(acc).max(initial=0))
 
-        self._forward_nhwc(
-            x, on_conv=record_conv, on_op=lambda state: pass_.op_outputs.append(_frozen(state))
+        def record_input(i: int, state: np.ndarray) -> None:
+            pass_.block_inputs[i] = _frozen(state)
+
+        pass_.features = _frozen(
+            self._forward_nhwc(x, on_conv=record_conv, on_identity_input=record_input)
         )
         return pass_
 
@@ -1033,22 +1068,12 @@ class QuantizedNetwork:
         n_trials = len(ctx.injectors)
         acc = qc.accumulate_nhwc(state) if n_classes else None
         rows = acc.shape[0] // n_classes if n_classes else 0
-        ff_out = ctx.prefix.conv_out[qc.name]
-        oh, ow, k = ff_out.shape[1], ff_out.shape[2], ff_out.shape[3]
-
-        def dequant(acc_new: np.ndarray) -> np.ndarray:
-            # epilogue_nhwc with the output shape taken from the
-            # recorded pass (fresh forks have no input tensor to derive
-            # it from); same op sequence, bit-identical.
-            out = acc_new.astype(np.float64)
-            out *= qc.in_scale * qc.w_scale
-            out += qc.bias[None, :]
-            return out.reshape(-1, oh, ow, k)
+        oh, ow = ctx.prefix.out_hw[qc.name]
 
         if qc.name not in ctx.injected:
             if not n_classes:
                 return lanes
-            return dequant(acc), assign
+            return qc.dequantize_nhwc(acc, oh, ow), assign
 
         base_ff = ctx.prefix.acc[qc.name]
         plans = [
@@ -1080,13 +1105,13 @@ class QuantizedNetwork:
         if not reps:
             return None, new_assign
         acc_new = reps[0] if len(reps) == 1 else np.concatenate(reps, axis=0)
-        return dequant(acc_new), new_assign
+        return qc.dequantize_nhwc(acc_new, oh, ow), new_assign
 
     def _lane_block(
         self,
         block: _QBlock,
         lanes: _Lanes,
-        ff_in: np.ndarray,
+        ff_in: Optional[np.ndarray],
         ctx: _LaneCtx,
     ) -> _Lanes:
         """A residual block under the lanes walk.
@@ -1094,22 +1119,31 @@ class QuantizedNetwork:
         Main path and shortcut walk independently from the block-input
         partition; the residual add joins them over the common
         refinement of the two partitions (a trial's joined class is the
-        pair of its main and shortcut classes).
+        pair of its main and shortcut classes).  A side still on the
+        fault-free lane joins as its fault-free output: ``ff_in`` for an
+        identity shortcut, else the conv's recorded accumulators through
+        its epilogue, rebuilt at most once per block.
         """
         main = self._lane_conv(block.qconv1, lanes, ctx)
         if main[0] is not None:
             main = (np.maximum(main[0], 0.0), main[1])
         main = self._lane_conv(block.qconv2, main, ctx)
-        if block.qshortcut is not None:
-            short = self._lane_conv(block.qshortcut, lanes, ctx)
-            short_ff = ctx.prefix.conv_out[block.qshortcut.name]
-        else:
-            short = lanes
-            short_ff = ff_in
-        main_ff = ctx.prefix.conv_out[block.qconv2.name]
+        short = lanes if block.qshortcut is None else self._lane_conv(block.qshortcut, lanes, ctx)
+        n = ctx.n_images
+        rebuilt: Dict[str, np.ndarray] = {}
+
+        def side(cls: int, state: Optional[np.ndarray], qc: Optional[QuantizedConv]) -> np.ndarray:
+            if cls >= 0:
+                return state[cls * n : (cls + 1) * n]
+            if qc is None:
+                return ff_in
+            if qc.name not in rebuilt:
+                oh, ow = ctx.prefix.out_hw[qc.name]
+                rebuilt[qc.name] = qc.dequantize_nhwc(ctx.prefix.acc[qc.name], oh, ow)
+            return rebuilt[qc.name]
+
         m_state, m_assign = main
         s_state, s_assign = short
-        n = ctx.n_images
         seen: Dict[Tuple[int, int], int] = {}
         outs: List[np.ndarray] = []
         new_assign = [-1] * len(m_assign)
@@ -1119,8 +1153,8 @@ class QuantizedNetwork:
                 continue
             c = seen.get(key)
             if c is None:
-                m_t = main_ff if key[0] < 0 else m_state[key[0] * n : (key[0] + 1) * n]
-                s_t = short_ff if key[1] < 0 else s_state[key[1] * n : (key[1] + 1) * n]
+                m_t = side(key[0], m_state, block.qconv2)
+                s_t = side(key[1], s_state, block.qshortcut)
                 c = len(outs)
                 seen[key] = c
                 outs.append(np.maximum(m_t + s_t, 0.0))
@@ -1144,8 +1178,7 @@ class QuantizedNetwork:
             if isinstance(op, QuantizedConv):
                 lanes = self._lane_conv(op, lanes, ctx)
             elif isinstance(op, _QBlock):
-                ff_in = prefix.op_outputs[i - 1] if i else _to_nhwc(x)
-                lanes = self._lane_block(op, lanes, ff_in, ctx)
+                lanes = self._lane_block(op, lanes, prefix.block_inputs.get(i), ctx)
             elif isinstance(op, ReLU):
                 if lanes[0] is not None:
                     lanes = (np.maximum(lanes[0], 0.0), lanes[1])
@@ -1180,8 +1213,7 @@ class QuantizedNetwork:
         stats = stats if stats is not None else TrialBatchStats()
         state, assign = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
         n = x.shape[0]
-        ff_out = prefix.op_outputs[-1]
-        parts = [ff_out if c < 0 else state[c * n : (c + 1) * n] for c in assign]
+        parts = [prefix.features if c < 0 else state[c * n : (c + 1) * n] for c in assign]
         return _to_nchw(np.concatenate(parts, axis=0))
 
     def evaluate_trials(
@@ -1221,7 +1253,7 @@ class QuantizedNetwork:
         accuracies: List[float] = []
         for c in assign:
             if c not in counts:
-                feat = prefix.op_outputs[-1] if c < 0 else state[c * n : (c + 1) * n]
+                feat = prefix.features if c < 0 else state[c * n : (c + 1) * n]
                 counts[c] = chunked_correct(_to_nchw(feat).reshape(n, -1))
             accuracies.append(counts[c] / n)
         return accuracies
@@ -1718,19 +1750,18 @@ class QuantizedTokenNetwork:
             self.set_injector(None)
 
     def fault_free_pass(self, x: np.ndarray) -> FaultFreePass:
-        """Record every GEMM's raw accumulators over one fault-free forward.
+        """Every GEMM's full-batch accumulator maximum over one fault-free forward.
 
-        Captured through the injector hook (the accumulators are fresh
-        per forward, so freezing them is safe); ``max_abs_acc`` holds the
-        full-batch maxima that fix relative-mode flip windows — the same
-        determinism contract as the conv runtime.
+        Captured through the injector hook.  ``max_abs_acc`` fixes the
+        relative-mode flip windows — the same determinism contract as the
+        conv runtime — and is all the pass holds: the serial trial loop
+        of :meth:`evaluate_trials` reads no accumulators.
         """
         if not self._calibrated:
             raise QuantizationError("call calibrate(batch) before inference")
         pass_ = FaultFreePass(n_images=x.shape[0])
 
         def capture(acc: np.ndarray, op: object) -> np.ndarray:
-            pass_.acc[op.name] = _frozen(acc)
             pass_.max_abs_acc[op.name] = int(np.abs(acc).max(initial=0))
             return acc
 

@@ -133,19 +133,36 @@ class TestIm2colNhwcOracle:
 
 
 class TestCol2imOracle:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_byte_equal_with_equal_strides(self, dtype):
+    @staticmethod
+    def assert_grid_byte_equal(dtype, on_case=lambda cols, n: None):
         rng = np.random.default_rng(11)
         for n, c, (h, w), (fy, fx), stride, padding in GRID:
             oh, ow = F.conv_out_hw(h, w, fy, fx, stride, padding)
             cols = _with_negative_zeros(rng.standard_normal((n * oh * ow, c * fy * fx)), rng)
             cols = cols.astype(dtype)
+            on_case(cols, n)
             expected = reference_col2im(cols, (n, c, h, w), fy, fx, stride, padding)
             got = F.col2im(cols, (n, c, h, w), fy, fx, stride, padding)
             case = (n, c, h, w, fy, fx, stride, padding)
             assert got.dtype == expected.dtype and got.shape == expected.shape, case
             assert got.strides == expected.strides, case
             assert got.tobytes() == expected.tobytes(), case
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_byte_equal_with_equal_strides(self, dtype):
+        self.assert_grid_byte_equal(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("images_per_block", [1, 2])
+    def test_byte_equal_in_forced_blocks(self, dtype, images_per_block, monkeypatch):
+        """Every grid case fits one block of the default budget; a budget
+        of one or two images' ``cols`` splits the batch, short last block
+        included."""
+
+        def budget(cols, n):
+            monkeypatch.setattr(F, "_COL2IM_BLOCK_BYTES", images_per_block * cols.nbytes // n)
+
+        self.assert_grid_byte_equal(dtype, budget)
 
 
 def _trained_state(model_name, monkeypatch, reference_kernels):

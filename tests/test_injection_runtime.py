@@ -25,9 +25,18 @@ from repro.faults import (
     run_injection_trials,
 )
 from repro.faults.injection_job import _pass_msbs
-from repro.nn.quantize import TrialBatchStats
+from repro.nn.quantize import FaultFreePass, QuantizedNetwork, TrialBatchStats, _QBlock
 
 MICRO = SCALES["micro"]
+
+
+def _held_arrays(prefix):
+    """Every array a fault-free pass holds, whatever field holds it."""
+    held = []
+    for value in vars(prefix).values():
+        values = value.values() if isinstance(value, dict) else [value]
+        held += [v for v in values if isinstance(v, np.ndarray)]
+    return held
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +111,30 @@ class TestRuntimeEquivalence:
         )
         assert serial.trial_accuracies == batched.trial_accuracies
         assert serial.flips_injected == batched.flips_injected
+
+    @pytest.mark.parametrize(
+        "layer",
+        ["block2.shortcut", "block2.conv2", "block1.conv1"],
+        ids=["conv-shortcut-only", "qconv2-only", "identity-block-main-only"],
+    )
+    def test_resnet_one_sided_joins(self, resnet, layer):
+        # Flips land on one side of a residual join only, so the other
+        # side joins as its fault-free output: rebuilt from the pass's
+        # accumulators for block2's conv2 and shortcut, read from the
+        # stored block input for block1's identity shortcut.
+        names = {qc.name for qc in resnet.qnet.qconvs(include_shortcuts=True)}
+        assert layer in names
+        x, y = resnet.x_test[:16], resnet.y_test[:16]
+        runs = {
+            runtime: run_injection_trials(
+                resnet.qnet, x, y, {layer: 5e-3}, n_trials=3, base_seed=5, runtime=runtime
+            )
+            for runtime in ("serial", "batched")
+        }
+        assert runs["batched"].flips_injected > 0
+        assert runs["batched"].trial_accuracies == runs["serial"].trial_accuracies
+        assert runs["batched"].trial_correct == runs["serial"].trial_correct
+        assert runs["batched"].flips_injected == runs["serial"].flips_injected
 
     def test_resnet_partial_block_fork(self, resnet):
         # fig11-style early-layer subset: the fork lands mid-block, with
@@ -330,12 +363,63 @@ class TestExactBlasGemm:
             for w in qc._blas_weights_nhwc():
                 assert w.dtype == expected
 
-    def test_fault_free_pass_serves_frozen_arrays(self, vgg):
-        prefix = vgg.qnet.fault_free_pass(vgg.x_test[:8])
-        assert prefix.n_images == 8
-        for arr in list(prefix.acc.values()) + list(prefix.conv_out.values()):
-            assert not arr.flags.writeable
-        assert prefix.nbytes() > 0
+    def test_fault_free_pass_serves_frozen_arrays(self, vgg, resnet):
+        for bundle in (vgg, resnet):
+            prefix = bundle.qnet.fault_free_pass(bundle.x_test[:8])
+            assert prefix.n_images == 8
+            held = _held_arrays(prefix)
+            assert held
+            for arr in held:
+                assert not arr.flags.writeable
+            assert prefix.nbytes() > 0
+
+    def test_fault_free_pass_holds_only_what_the_walk_reads(self, resnet, monkeypatch):
+        """Accumulators in the BLAS dtype, identity-block inputs and the
+        final features; no conv's float64 output but the head's (which is
+        the features), and every conv output the walk rebuilds from the
+        accumulators equals the forward's byte for byte."""
+        outs = {}
+        forward = QuantizedNetwork._forward_nhwc
+
+        def spying(qnet, x, on_conv=None, **kwargs):
+            def seen(qc, acc, out):
+                outs[qc.name] = out
+                on_conv(qc, acc, out)
+
+            return forward(qnet, x, on_conv=seen, **kwargs)
+
+        monkeypatch.setattr(QuantizedNetwork, "_forward_nhwc", spying)
+        qnet = resnet.qnet
+        prefix = qnet.fault_free_pass(resnet.x_test[:8])
+        convs = qnet.qconvs(include_shortcuts=True)
+        identity = [
+            i for i, op in enumerate(qnet._ops) if isinstance(op, _QBlock) and op.qshortcut is None
+        ]
+        assert sorted(prefix.acc) == sorted(outs) == sorted(qc.name for qc in convs)
+        assert sorted(prefix.block_inputs) == identity and identity
+        held = _held_arrays(prefix)
+        assert len(held) == len(convs) + len(identity) + 1
+        head = convs[-1].name
+        for qc in convs:
+            acc = prefix.acc[qc.name]
+            assert acc.dtype == qc._blas_weights_nhwc()[0].dtype
+            rebuilt = qc.dequantize_nhwc(acc, *prefix.out_hw[qc.name])
+            assert rebuilt.tobytes() == outs[qc.name].tobytes()
+            if qc.name != head:
+                assert not any(np.shares_memory(outs[qc.name], arr) for arr in held)
+        assert np.shares_memory(prefix.features, outs[head])
+
+    def test_nbytes_counts_each_buffer_once(self):
+        shared = np.zeros((4, 2, 2, 3))
+        prefix = FaultFreePass(
+            n_images=4,
+            acc={"conv": shared.reshape(16, 3)},
+            block_inputs={1: shared},
+            features=shared[:, :1, :1],
+        )
+        assert prefix.nbytes() == shared.nbytes
+        prefix.acc["other"] = np.zeros((16, 3), dtype=np.float32)
+        assert prefix.nbytes() == shared.nbytes + 16 * 3 * 4
 
 
 class TestEvaluateChunking:
