@@ -111,8 +111,9 @@ def timed_interleaved(contenders, repeats=3):
 
     Alternating the contenders inside each round keeps slow drift (CPU
     throttling, cgroup scheduling) from biasing whichever side happens to
-    run first — the reference host is a 1-core shared runner with ±10 %
-    noise, so asserted speedup floors should always be measured this way.
+    run first — the reference host is a shared 2-vCPU runner whose
+    neighbours' load moves wall clocks between rounds, so asserted speedup
+    floors should always be measured this way.
     """
     best = [float("inf")] * len(contenders)
     for _ in range(repeats):

@@ -2,10 +2,9 @@
 
 Benchmarks regenerate every table and figure of the paper.  They default
 to the ``tiny`` experiment scale so the full suite completes in minutes;
-set ``REPRO_SCALE=small`` (or ``paper``) for the full-size runs recorded
-in EXPERIMENTS.md.  Each benchmark runs its experiment once per round
-(``pedantic``) because a single run already aggregates thousands of
-simulated MAC cycles.
+set ``REPRO_SCALE=small`` (or ``paper``) for the full-size runs.  Each
+benchmark runs its experiment once per round (``pedantic``) because a
+single run already aggregates thousands of simulated MAC cycles.
 """
 
 import os

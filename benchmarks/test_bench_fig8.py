@@ -2,7 +2,7 @@
 
 Paper reference: reorder 4.9x average, cluster-then-reorder 7.8x average
 and up to 37.9x on the best layer.  The reproduction asserts the ordering
-and reports the measured factors (EXPERIMENTS.md records them per scale).
+and reports the measured factors.
 """
 
 from repro.core import MappingStrategy

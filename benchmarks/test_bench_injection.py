@@ -1,12 +1,13 @@
-"""Bench: the pruning injection runtime vs the serial reference.
+"""Bench: the batched injection runtime vs the serial reference.
 
 Measures the wall clock of a micro-scale fig10-shaped injection campaign
 — both fig10 networks, one :class:`~repro.faults.InjectionJob` per
 (strategy x corner) cell — executed twice through the same engine:
 
 * ``serial`` — the per-trial reference loop (the paper's protocol);
-* ``pruned`` — the ``batched`` runtime's lanes walk: stacked forward
-  plus effective-flip dedup.
+* ``pruned`` — the ``batched`` runtime: the lanes walk, a stacked
+  forward with effective-flip dedup (the leg keeps its historical name
+  in the bench record).
 
 Both produce bit-identical results (asserted), so the ratio is a pure
 runtime comparison.
@@ -15,14 +16,15 @@ The BER tables are corner-scaled the way a real fig10 campaign is: the
 paper's Eq. 1 corners span ~100 orders of magnitude (Ideal ~1e-112,
 VT-3% ~1e-10, VT-5% ~5e-5, Aging&VT-5% up to 0.24), so each bench corner
 applies one decade factor to the drawn per-layer tables.  High-BER cells
-keep every trial diverged (pruning can only help the other corners);
-low-BER cells are where masked trials collapse onto the fault-free lane
+keep every trial diverged (dedup can only help the other corners);
+low-BER cells are where zero-flip trials stay on the fault-free lane
 — exactly the regime that dominates a production campaign's cell grid.
 
-The asserted floor — pruned vs serial, default 12x,
+The asserted floor — lanes walk vs serial, default 12x,
 ``$REPRO_BENCH_MIN_INJECTION_SPEEDUP`` — is measured with interleaved
-best-of-N timing (this reference host is a 1-core runner with ±10 %
-noise), with one extended re-measure before declaring a regression.
+best-of-N timing (the reference host is a shared 2-vCPU runner, where
+the serial leg alone has taken 17-30 s between runs of identical code),
+with one extended re-measure before declaring a regression.
 
 The measurement lands in ``BENCH_injection.json`` at the repository root
 (shared layout with ``BENCH_engine.json`` — see
@@ -54,8 +56,8 @@ _RECORDER = BenchRecorder(
     "PYTHONPATH=src python -m pytest benchmarks/test_bench_injection.py -q -s",
 )
 
-#: Asserted floor on the pruned runtime's speedup over the serial
-#: reference.  Overridable for noisy shared hosts.
+#: Asserted floor on the lanes walk's speedup over the serial reference.
+#: Overridable for noisy shared hosts.
 MIN_INJECTION_SPEEDUP = env_float("REPRO_BENCH_MIN_INJECTION_SPEEDUP", 12.0)
 
 #: The two networks of Fig. 10.
@@ -64,8 +66,8 @@ RECIPES = ("vgg16_cifar10", "resnet18_cifar10")
 #: Bench corners as (BER decade factor, strategy cells): each factor
 #: scales the drawn per-layer BER tables — a compressed stand-in for the
 #: Eq. 1 corner spread (see the module docstring).  The first corner
-#: keeps every trial diverged; the others are the masked/duplicate
-#: regime pruning exists for (the paper's VT-3% corner sits at ~1e-10,
+#: keeps every trial diverged; the others are the zero-flip/duplicate
+#: regime dedup exists for (the paper's VT-3% corner sits at ~1e-10,
 #: far below the last factor).  The cell weighting mirrors fig10's grid,
 #: where the always-diverged Aging&VT corners are the minority.
 CORNERS = ((1.0, 2), (1e-5, 3), (1e-9, 3))
@@ -182,7 +184,7 @@ def test_bench_injection_pruned_vs_baselines(benchmark):
         f"{trials_pruned} pruned, {trials_deduped} deduped)"
     )
     assert speedup_serial >= MIN_INJECTION_SPEEDUP, (
-        f"pruned injection runtime regressed: {speedup_serial:.1f}x < "
+        f"batched injection runtime (lanes walk) regressed: {speedup_serial:.1f}x < "
         f"{MIN_INJECTION_SPEEDUP}x over the serial reference "
         "(see BENCH_injection.json)"
     )

@@ -246,15 +246,32 @@ class BitFlipInjector:
         return np.flatnonzero(mask.reshape(-1)), positions
 
     def apply_plan(
-        self, acc: np.ndarray, plan: Optional[Tuple[np.ndarray, np.ndarray]]
+        self,
+        acc: np.ndarray,
+        plan: Optional[Tuple[np.ndarray, np.ndarray]],
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Apply a :meth:`flip_plan` to ``acc`` (copying; empty plan = as-is)."""
-        if plan is None:
-            return acc
-        indices, positions = plan
-        out = acc.copy()
-        flat = out.reshape(-1)
-        flat[indices] = fp.flip_bits(flat[indices], positions, self.psum_width)
+        """Apply a :meth:`flip_plan` to ``acc``, which is left untouched.
+
+        Without ``out`` the flips land in a copy (an empty plan returns
+        ``acc`` as is).  ``out``, a C-contiguous array of ``acc``'s shape
+        (one class's rows of the lanes walk's stacked buffer), receives
+        a copy of ``acc`` and then the flips.
+        """
+        if out is None:
+            if plan is None:
+                return acc
+            out = acc.copy()
+        elif out.shape != acc.shape or not out.flags.c_contiguous:
+            raise ConfigurationError(
+                f"out must be C-contiguous of shape {acc.shape}, got {out.shape}"
+            )
+        else:
+            np.copyto(out, acc)
+        if plan is not None:
+            indices, positions = plan
+            flat = out.reshape(-1)
+            flat[indices] = fp.flip_bits(flat[indices], positions, self.psum_width)
         return out
 
     def __call__(self, acc: np.ndarray, layer) -> np.ndarray:

@@ -20,8 +20,8 @@ Figs. 10-11 are provided as module constants.
 
 Calibration: coefficients are chosen so the baseline (un-reordered)
 accelerator lands in the paper's TER window (1e-6 .. 1e-4 at the
-aged + VT-5 % corner) — see ``benchmarks/test_bench_fig8.py`` and
-EXPERIMENTS.md for the measured values.
+aged + VT-5 % corner) — see ``benchmarks/test_bench_fig8.py`` for the
+measured values.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Same topologies as the paper's evaluation (Section V-A) — 13 conv layers
 for VGG-16, 17 for ResNet-18, 33 for ResNet-34 — with a ``width``
 multiplier so they train in minutes on a laptop-class CPU instead of
 hours on a GPU.  READ's behaviour depends on weight sign statistics and
-ReLU non-negativity, both preserved at reduced width; EXPERIMENTS.md
-records the widths used for each figure.
+ReLU non-negativity, both preserved at reduced width; each experiment
+scale (``repro.experiments.common.SCALES``) fixes the width its figures
+run at.
 
 The builders return a :class:`ClassifierNetwork`, which also knows how to
 enumerate its convolution layers in execution order — the unit of Fig. 8's

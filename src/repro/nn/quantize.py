@@ -68,6 +68,13 @@ Injector = Callable[[np.ndarray, "QuantizedConv"], np.ndarray]
 #: observations of another version are then recomputed, not restored.
 CALIBRATION_VERSION = 1
 
+#: Bytes of one group's im2col columns :meth:`QuantizedConv.accumulate_nhwc`
+#: gathers per block of whole images (at least one image), so a block's
+#: columns and GEMM stay in a core's L2 cache.  512 KB was fastest of
+#: 256 KB-2 MB on the four micro paper networks at 64, 192 and 384
+#: stacked images (2 MB-L2 x86 host, one BLAS thread).
+_ACC_BLOCK_BYTES = 1 << 19
+
 
 @dataclass
 class TrialBatchStats:
@@ -304,16 +311,27 @@ class QuantizedConv:
         return self._blas_weights_hwc
 
     def accumulate_nhwc(self, x: np.ndarray) -> np.ndarray:
-        """Integer-*valued* accumulators ``(N*OH*OW, K)`` via an exact BLAS GEMM.
+        """Integer-*valued* accumulators ``(N*OH*OW, K)`` via exact BLAS GEMMs.
 
         ``x`` is the channels-last ``(N, H, W, C)`` float activation
         tensor.  Bit-identical values to the int64 GEMM in
         :meth:`_forward_quantized` (see :meth:`acc_bound` for why, and
-        :meth:`_blas_weights_nhwc` for the reduction re-ordering), but
-        runs as one sgemm/dgemm over a channels-contiguous operand
-        gather — the batched injection runtime's hot loop.  Accumulator
-        rows are ordered ``(n, oy, ox)`` exactly like the channels-first
-        path, so per-element flip masks line up between the runtimes.
+        :meth:`_blas_weights_nhwc` for the reduction re-ordering) — the
+        batched injection runtime's hot loop.  Accumulator rows are
+        ordered ``(n, oy, ox)`` exactly like the channels-first path, so
+        per-element flip masks line up between the runtimes.
+
+        The batch runs in blocks of whole images, as many as fit
+        ``_ACC_BLOCK_BYTES`` of one group's im2col columns (at least
+        one).  Each block is quantized (the float64 divide/round/clip of
+        :meth:`quantize_input`, so every quantization decision is the
+        same), written into one zero-bordered buffer, gathered group by
+        group into one reused channels-contiguous column buffer, and
+        multiplied into its rows of one preallocated output.  A block's
+        columns and GEMM stay in a core's L2 cache, and no call holds
+        the whole batch's columns.  Splitting the rows cannot change a
+        bit: every partial sum is an integer below the dtype's exact
+        range.  A batch that fits one block runs as one GEMM per group.
 
         The result stays in the BLAS float dtype: every entry is an
         exactly-represented integer, and so is every entry after an
@@ -322,7 +340,8 @@ class QuantizedConv:
         traffic.  Falls back to the int64 reference on the (unreachable
         in practice) overflow case.  With ``record`` set, keeps the int64
         operand matrix the reference GEMM would record, built from the
-        same quantized values, in ``recorded_cols``.
+        same quantized values in ``mapper.im2col``'s ``(c, fy, fx)``
+        column order, in ``recorded_cols``.
         """
         w_groups = self._blas_weights_nhwc()
         if w_groups is None:  # pragma: no cover - see _blas_weights_nhwc
@@ -331,26 +350,35 @@ class QuantizedConv:
         if self.in_scale is None:
             raise QuantizationError(f"layer {self.name} is not calibrated")
         q_max = (1 << self.act_bits) - 1
-        # Same float64 divide/round/clip as quantize_input (bit-identical
-        # quantization decisions), fused in place to avoid temporaries.
-        x_q = x / self.in_scale
-        np.round(x_q, out=x_q)
-        np.clip(x_q, 0, q_max, out=x_q)
-        x_q = x_q.astype(w_groups[0].dtype)
-        fy, fx = self.weight_q.shape[2], self.weight_q.shape[3]
-        c_g = self.weight_q.shape[1]
-        accs, recorded = [], []
-        for g, w in enumerate(w_groups):
-            x_g = x_q[..., g * c_g : (g + 1) * c_g]
-            cols = _im2col_nhwc(x_g, fy, fx, stride=self.stride, padding=self.padding)
-            if self.record:
-                recorded.append(_channels_first(cols, fy * fx))
-            accs.append(cols @ w)
-        if self.record:
-            # The int64 path's operand matrix: the same values, in the
-            # (c, fy, fx) column order of mapper.im2col.
-            self.recorded_cols = _hstack(recorded)
-        return _hstack(accs)
+        n, h, w, c = x.shape
+        _, c_g, fy, fx = self.weight_q.shape
+        k_g = self.out_channels // self.groups
+        oh, ow = F.conv_out_hw(h, w, fy, fx, self.stride, self.padding)
+        pix, taps, p = oh * ow, fy * fx, self.padding
+        dtype = w_groups[0].dtype
+        per_block = max(1, min(n, _ACC_BLOCK_BYTES // (pix * taps * c_g * dtype.itemsize)))
+        padded = np.zeros((per_block, h + 2 * p, w + 2 * p, c), dtype=dtype)
+        cols = np.empty((per_block * pix, taps * c_g), dtype=dtype)
+        acc = np.empty((n * pix, self.out_channels), dtype=dtype)
+        recorded = np.empty((n * pix, self.groups, c_g, taps), np.int64) if self.record else None
+        for lo in range(0, n, per_block):
+            nb = min(per_block, n - lo)
+            x_q = x[lo : lo + nb] / self.in_scale
+            np.round(x_q, out=x_q)
+            np.clip(x_q, 0, q_max, out=x_q)
+            padded[:nb, p : p + h, p : p + w] = x_q
+            windows = _windows_nhwc(padded[:nb], fy, fx, self.stride)
+            rows = slice(lo * pix, (lo + nb) * pix)
+            cols_b = cols[: nb * pix]
+            cols6 = cols_b.reshape(nb, oh, ow, fy, fx, c_g)
+            for g, w_g in enumerate(w_groups):
+                cols6[...] = windows[..., g * c_g : (g + 1) * c_g]
+                np.matmul(cols_b, w_g, out=acc[rows, g * k_g : (g + 1) * k_g])
+                if recorded is not None:
+                    recorded[rows, g] = cols_b.reshape(-1, taps, c_g).transpose(0, 2, 1)
+        if recorded is not None:
+            self.recorded_cols = recorded.reshape(n * pix, -1)
+        return acc
 
     def accumulate_exact(self, x: np.ndarray) -> np.ndarray:
         """:meth:`accumulate_nhwc` for a channels-first ``(N, C, H, W)`` input."""
@@ -364,9 +392,8 @@ class QuantizedConv:
         lanes walk rebuilds from recorded accumulators, which is
         therefore bit-identical to the one the forward computed.
         """
-        out = acc.astype(np.float64)
-        out *= self.in_scale * self.w_scale
-        out += self.bias[None, :]
+        out = np.multiply(acc, self.in_scale * self.w_scale, dtype=np.float64)
+        out += self.bias
         return out.reshape(-1, oh, ow, self.out_channels)
 
     def epilogue_nhwc(self, acc: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
@@ -587,46 +614,6 @@ def _windows_nhwc(x: np.ndarray, fy: int, fx: int, stride: int) -> np.ndarray:
         strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2], s[3]),
         writeable=False,
     )
-
-
-def _im2col_nhwc(
-    x: np.ndarray, fy: int, fx: int, stride: int, padding: int
-) -> np.ndarray:
-    """Channels-last im2col: ``(N, H, W, C)`` -> ``(N*OH*OW, Fy*Fx*C)``.
-
-    Same GEMM rows (ordered ``(n, oy, ox)``) as
-    :func:`repro.arch.mapper.im2col`, but with the reduction axis ordered
-    ``(fy, fx, c)`` so each gathered window row is ``fx * C`` contiguous
-    elements instead of ``fx`` — the difference between a byte-wise and a
-    cache-line-wise copy on channels-heavy layers.  Pair with
-    :meth:`QuantizedConv._blas_weights_nhwc`, which re-orders the weight
-    rows to match.  ``x`` may be a strided view (a group's channel slice).
-    """
-    if padding:
-        n, h, w, c = x.shape
-        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        padded[:, padding : padding + h, padding : padding + w] = x
-        x = padded
-    windows = _windows_nhwc(x, fy, fx, stride)
-    n, oh, ow = windows.shape[:3]
-    return windows.reshape(n * oh * ow, fy * fx * x.shape[3])
-
-
-def _channels_first(cols: np.ndarray, taps: int) -> np.ndarray:
-    """int64 copy of :func:`_im2col_nhwc` columns in ``(c, fy, fx)`` order.
-
-    The column order of :func:`repro.arch.mapper.im2col`; ``taps`` is
-    ``Fy*Fx``.  Exact: the columns hold integers the BLAS dtype holds
-    exactly.
-    """
-    rows, width = cols.shape
-    out = cols.reshape(rows, taps, width // taps).transpose(0, 2, 1).astype(np.int64, order="C")
-    return out.reshape(rows, width)
-
-
-def _hstack(blocks: List[np.ndarray]) -> np.ndarray:
-    """Per-group GEMM blocks side by side (a single block as is)."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def _maxpool_nhwc(x: np.ndarray, size: int, stride: int) -> np.ndarray:
@@ -1056,36 +1043,31 @@ class QuantizedNetwork:
     ) -> _Lanes:
         """One conv under the lanes walk.
 
-        Non-injected: one stacked GEMM over the diverged classes (the
-        fault-free lane costs nothing).  Injected: draw every trial's
+        Non-injected: one :meth:`QuantizedConv.accumulate_nhwc` over the
+        stacked diverged classes (the fault-free lane costs nothing).  Injected: draw every trial's
         flip plan, re-partition trials by ``(source class, plan bytes)``,
         and materialize one accumulator tensor per distinct partition —
         fault-free-lane trials fork from the cached prefix accumulators,
         so a trial only ever pays for layers where its faults are live.
+        Each partition's accumulators are copied straight into its rows
+        of one stacked buffer and flipped there.
         """
         state, assign = lanes
-        n_classes = 0 if state is None else state.shape[0] // ctx.n_images
-        n_trials = len(ctx.injectors)
-        acc = qc.accumulate_nhwc(state) if n_classes else None
-        rows = acc.shape[0] // n_classes if n_classes else 0
         oh, ow = ctx.prefix.out_hw[qc.name]
-
+        acc = None if state is None else qc.accumulate_nhwc(state)
         if qc.name not in ctx.injected:
-            if not n_classes:
-                return lanes
-            return qc.dequantize_nhwc(acc, oh, ow), assign
+            return lanes if acc is None else (qc.dequantize_nhwc(acc, oh, ow), assign)
 
         base_ff = ctx.prefix.acc[qc.name]
-        plans = [
-            inj.flip_plan(
-                base_ff if assign[t] < 0 else acc[assign[t] * rows : (assign[t] + 1) * rows],
-                qc,
-            )
-            for t, inj in enumerate(ctx.injectors)
-        ]
+        rows = base_ff.shape[0]
+
+        def base(cls: int) -> np.ndarray:
+            return base_ff if cls < 0 else acc[cls * rows : (cls + 1) * rows]
+
+        plans = [inj.flip_plan(base(assign[t]), qc) for t, inj in enumerate(ctx.injectors)]
         seen: Dict[Tuple[int, Optional[Tuple[bytes, bytes]]], int] = {}
-        reps: List[np.ndarray] = []
-        new_assign = [-1] * n_trials
+        reps: List[int] = []  # the first trial of each new class
+        new_assign = [-1] * len(plans)
         for t, plan in enumerate(plans):
             old = assign[t]
             if old < 0 and plan is None:
@@ -1093,19 +1075,20 @@ class QuantizedNetwork:
                 ctx.stats.deduped += 1
                 continue
             sig = None if plan is None else (plan[0].tobytes(), plan[1].tobytes())
-            c = seen.get((old, sig))
-            if c is None:
-                base = base_ff if old < 0 else acc[old * rows : (old + 1) * rows]
-                c = len(reps)
-                seen[(old, sig)] = c
-                reps.append(ctx.injectors[t].apply_plan(base, plan))
+            c = seen.setdefault((old, sig), len(reps))
+            if c == len(reps):
+                reps.append(t)
             else:
                 ctx.stats.deduped += 1
             new_assign[t] = c
         if not reps:
             return None, new_assign
-        acc_new = reps[0] if len(reps) == 1 else np.concatenate(reps, axis=0)
-        return qc.dequantize_nhwc(acc_new, oh, ow), new_assign
+        stacked = np.empty((len(reps) * rows, base_ff.shape[1]), dtype=base_ff.dtype)
+        for c, t in enumerate(reps):
+            ctx.injectors[t].apply_plan(
+                base(assign[t]), plans[t], out=stacked[c * rows : (c + 1) * rows]
+            )
+        return qc.dequantize_nhwc(stacked, oh, ow), new_assign
 
     def _lane_block(
         self,
@@ -1122,11 +1105,12 @@ class QuantizedNetwork:
         pair of its main and shortcut classes).  A side still on the
         fault-free lane joins as its fault-free output: ``ff_in`` for an
         identity shortcut, else the conv's recorded accumulators through
-        its epilogue, rebuilt at most once per block.
+        its epilogue, rebuilt at most once per block.  The joined classes
+        are added into one stacked buffer, rectified in place.
         """
         main = self._lane_conv(block.qconv1, lanes, ctx)
         if main[0] is not None:
-            main = (np.maximum(main[0], 0.0), main[1])
+            np.maximum(main[0], 0.0, out=main[0])
         main = self._lane_conv(block.qconv2, main, ctx)
         short = lanes if block.qshortcut is None else self._lane_conv(block.qshortcut, lanes, ctx)
         n = ctx.n_images
@@ -1145,23 +1129,22 @@ class QuantizedNetwork:
         m_state, m_assign = main
         s_state, s_assign = short
         seen: Dict[Tuple[int, int], int] = {}
-        outs: List[np.ndarray] = []
         new_assign = [-1] * len(m_assign)
-        for t in range(len(m_assign)):
-            key = (m_assign[t], s_assign[t])
-            if key == (-1, -1):
-                continue
-            c = seen.get(key)
-            if c is None:
-                m_t = side(key[0], m_state, block.qconv2)
-                s_t = side(key[1], s_state, block.qshortcut)
-                c = len(outs)
-                seen[key] = c
-                outs.append(np.maximum(m_t + s_t, 0.0))
-            new_assign[t] = c
-        if not outs:
+        for t, key in enumerate(zip(m_assign, s_assign)):
+            if key != (-1, -1):
+                new_assign[t] = seen.setdefault(key, len(seen))
+        if not seen:
             return None, new_assign
-        return np.concatenate(outs, axis=0), new_assign
+        joined: Optional[np.ndarray] = None
+        for (m, s), c in seen.items():
+            m_t = side(m, m_state, block.qconv2)
+            s_t = side(s, s_state, block.qshortcut)
+            if joined is None:
+                shape = (len(seen) * n,) + m_t.shape[1:]
+                joined = np.empty(shape, dtype=np.result_type(m_t, s_t))
+            np.add(m_t, s_t, out=joined[c * n : (c + 1) * n])
+        np.maximum(joined, 0.0, out=joined)
+        return joined, new_assign
 
     def _forward_trials_lanes(
         self,
@@ -1171,7 +1154,13 @@ class QuantizedNetwork:
         prefix: FaultFreePass,
         stats: TrialBatchStats,
     ) -> _Lanes:
-        """The dedup walk over the whole lowered pipeline."""
+        """The dedup walk over the whole lowered pipeline.
+
+        Every state tensor the walk carries is its own (a conv's
+        dequantized output, a join's buffer, a module's output), so ReLU
+        rectifies it in place; the :class:`FaultFreePass` arrays it reads
+        are read-only.
+        """
         ctx = _LaneCtx(injectors, injected, prefix, x.shape[0], stats)
         lanes: _Lanes = (None, [-1] * len(injectors))
         for i, op in enumerate(self._ops):
@@ -1181,7 +1170,7 @@ class QuantizedNetwork:
                 lanes = self._lane_block(op, lanes, prefix.block_inputs.get(i), ctx)
             elif isinstance(op, ReLU):
                 if lanes[0] is not None:
-                    lanes = (np.maximum(lanes[0], 0.0), lanes[1])
+                    np.maximum(lanes[0], 0.0, out=lanes[0])
             elif isinstance(op, Module):
                 if lanes[0] is not None:
                     lanes = (self._module_nhwc(op, lanes[0]), lanes[1])

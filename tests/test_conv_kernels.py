@@ -9,12 +9,16 @@ replaced.  Those are kept here as the oracles: the kernels are compared
 on a seeded shape grid, and whole training epochs are compared with the
 oracles monkeypatched into :mod:`repro.nn.functional`.
 
-The quantized path's channels-last ``_im2col_nhwc`` zero-borders its
-input the same way, and is compared likewise against the ``np.pad``
-version it replaced.
+The quantized path's ``QuantizedConv.accumulate_nhwc`` quantizes,
+zero-borders and gathers its channels-last input one block of whole
+images at a time.  Its accumulators and recorded operand columns are
+compared, with the block budget forced down to one image and to a size
+that leaves a short last block, against an unblocked ``np.pad`` im2col
+GEMM and against the int64 ``_grouped_int_gemm`` reference.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ from repro.nn import functional as F
 from repro.nn.datasets import DatasetSpec, SyntheticImageDataset
 from repro.nn.layers import BatchNorm2d
 from repro.nn.models import build_model
-from repro.nn.quantize import _im2col_nhwc, _windows_nhwc
+from repro.nn import quantize as Q
+from repro.nn.quantize import QuantizedConv, _windows_nhwc
 from repro.nn.training import Trainer
 
 
@@ -113,23 +118,140 @@ class TestIm2colOracle:
             assert got.tobytes() == expected.tobytes(), case
 
 
+def _qconv(rng, c, k, fy, fx, stride, padding, groups=1, bits=8):
+    """A calibrated random conv: float32 BLAS at 8 bits, float64 at 16."""
+    weight = rng.standard_normal((k, c // groups, fy, fx))
+    qc = QuantizedConv(
+        "conv", weight, rng.standard_normal(k), stride, padding, bits, bits, groups
+    )
+    qc.restore_observations([3.0])
+    return qc
+
+
+def unblocked_accumulate(qc, x):
+    """One whole-batch ``np.pad`` im2col GEMM per group: ``(acc, int64 cols)``.
+
+    The quantization is ``quantize_input``'s divide/round/clip in the
+    input's own dtype; the recorded columns are reordered to
+    ``mapper.im2col``'s ``(c, fy, fx)`` order.
+    """
+    w_groups = qc._blas_weights_nhwc()
+    _, c_g, fy, fx = qc.weight_q.shape
+    x_q = np.clip(np.round(x / qc.in_scale), 0, (1 << qc.act_bits) - 1)
+    x_q = x_q.astype(w_groups[0].dtype)
+    accs, recorded = [], []
+    for g, w in enumerate(w_groups):
+        x_g = x_q[..., g * c_g : (g + 1) * c_g]
+        cols = reference_im2col_nhwc(x_g, fy, fx, qc.stride, qc.padding)
+        accs.append(cols @ w)
+        rows = cols.shape[0]
+        recorded.append(
+            cols.reshape(rows, fy * fx, c_g).transpose(0, 2, 1).astype(np.int64).reshape(rows, -1)
+        )
+    return np.concatenate(accs, axis=1), np.concatenate(recorded, axis=1)
+
+
+def force_images_per_block(monkeypatch, qc, x, images):
+    """Set the block budget to ``images`` images' worth of one group's columns."""
+    _, h, w, _ = x.shape
+    _, c_g, fy, fx = qc.weight_q.shape
+    oh, ow = F.conv_out_hw(h, w, fy, fx, qc.stride, qc.padding)
+    itemsize = qc._blas_weights_nhwc()[0].dtype.itemsize
+    monkeypatch.setattr(Q, "_ACC_BLOCK_BYTES", images * oh * ow * fy * fx * c_g * itemsize)
+
+
 class TestIm2colNhwcOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
     @pytest.mark.parametrize("groups", [1, 2])
-    def test_byte_equal_on_grid(self, dtype, groups):
-        """Whole inputs, and each group's channel slice: the strided view a
-        grouped conv passes in."""
+    def test_byte_equal_on_grid(self, dtype, groups, monkeypatch):
+        """The channels-last gather inside ``accumulate_nhwc``, seen
+        through its recorded columns and accumulators, equals the ``np.pad``
+        windows on the grid, one image per block and in two-image blocks
+        (a short last block at ``N = 3``).  ``dtype`` is the activation
+        dtype: the quantizing divide runs in it, as ``quantize_input``'s."""
         rng = np.random.default_rng(13)
         for n, c, (h, w), (fy, fx), stride, padding in GRID:
-            drawn = np.int64 if dtype == np.int64 else np.float64
-            x = _draw(rng, (n, h, w, c * groups), drawn).astype(dtype)
-            for g in range(groups):
-                x_g = x[..., g * c : (g + 1) * c]
-                expected = reference_im2col_nhwc(x_g, fy, fx, stride, padding)
-                got = _im2col_nhwc(x_g, fy, fx, stride=stride, padding=padding)
-                case = (n, c, h, w, fy, fx, stride, padding, g)
-                assert got.dtype == expected.dtype and got.shape == expected.shape, case
-                assert got.tobytes() == expected.tobytes(), case
+            qc = _qconv(rng, c * groups, 2 * groups, fy, fx, stride, padding, groups)
+            qc.record = True
+            x = (np.abs(_draw(rng, (n, h, w, c * groups), np.float64)) * 2).astype(dtype)
+            expected_acc, expected_cols = unblocked_accumulate(qc, x)
+            for images in (1, 2):
+                force_images_per_block(monkeypatch, qc, x, images)
+                acc = qc.accumulate_nhwc(x)
+                case = (n, c, h, w, fy, fx, stride, padding, images)
+                assert acc.dtype == expected_acc.dtype == np.float32, case
+                assert acc.tobytes() == expected_acc.tobytes(), case
+                assert qc.recorded_cols.dtype == np.int64, case
+                assert qc.recorded_cols.tobytes() == expected_cols.tobytes(), case
+
+
+#: (C, K, Fy, stride, padding, groups): stride 1 and 2, padding 0-2, a
+#: 1x1 conv, a grouped conv and a depthwise conv.
+CONVS = [
+    (4, 6, 3, 1, 1, 1),
+    (4, 6, 3, 2, 1, 1),
+    (3, 5, 3, 1, 0, 1),
+    (3, 4, 5, 2, 2, 1),
+    (8, 5, 1, 1, 0, 1),
+    (6, 4, 3, 1, 1, 2),
+    (6, 6, 3, 2, 1, 6),
+]
+
+
+class TestBlockedAccumulation:
+    @pytest.mark.parametrize("bits", [8, 16], ids=["float32", "float64"])
+    @pytest.mark.parametrize("conv", CONVS, ids=lambda c: "c{}k{}f{}s{}p{}g{}".format(*c))
+    def test_equals_unblocked_and_int64_gemm(self, conv, bits, monkeypatch):
+        """Byte-equal to the unblocked im2col GEMM and, as integers, to the
+        int64 reference, with its recorded columns; one image per block,
+        two (a short last block of 5 images) and the default budget."""
+        c, k, f, stride, padding, groups = conv
+        rng = np.random.default_rng(c * 100 + k * 10 + f + bits)
+        qc = _qconv(rng, c, k, f, f, stride, padding, groups, bits)
+        dtype = np.float32 if bits == 8 else np.float64
+        assert qc._blas_weights_nhwc()[0].dtype == dtype
+        x = np.abs(rng.standard_normal((5, 7, 6, c))) * 2
+        expected_acc, expected_cols = unblocked_accumulate(qc, x)
+        qc.record = True
+        x_nchw = np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+        reference = qc._grouped_int_gemm(qc.quantize_input(x_nchw))
+        assert reference.tobytes() == expected_acc.astype(np.int64).tobytes()
+        assert qc.recorded_cols.tobytes() == expected_cols.tobytes()
+        default_budget = Q._ACC_BLOCK_BYTES
+        for images in (1, 2, None):
+            if images is None:
+                monkeypatch.setattr(Q, "_ACC_BLOCK_BYTES", default_budget)
+            else:
+                force_images_per_block(monkeypatch, qc, x, images)
+            for record in (True, False):
+                qc.record, qc.recorded_cols = record, None
+                acc = qc.accumulate_nhwc(x)
+                assert acc.dtype == dtype and acc.shape == expected_acc.shape
+                assert acc.tobytes() == expected_acc.tobytes(), images
+                assert np.array_equal(acc.astype(np.int64), reference)
+                if record:
+                    assert qc.recorded_cols.tobytes() == expected_cols.tobytes(), images
+                else:
+                    assert qc.recorded_cols is None
+
+    def test_does_not_build_the_whole_batch_im2col(self):
+        """64 images of a 32x32x8 3x3 conv: an unblocked call gathers one
+        18.9 MB float32 im2col; a blocked one holds its output, the
+        quantized input and one block, a fraction of that."""
+        rng = np.random.default_rng(0)
+        qc = _qconv(rng, 8, 8, 3, 3, 1, 1)
+        x = np.abs(rng.standard_normal((64, 32, 32, 8)))
+        full_cols = 64 * 32 * 32 * 9 * 8 * 4
+        assert full_cols > 18_800_000
+        qc.accumulate_nhwc(x[:1])  # weights lowered outside the trace
+        tracemalloc.start()
+        try:
+            acc = qc.accumulate_nhwc(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert acc.nbytes == 64 * 32 * 32 * 8 * 4
+        assert peak < full_cols / 4, peak
 
 
 class TestCol2imOracle:

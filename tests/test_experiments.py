@@ -3,7 +3,7 @@
 These run at the ``tiny`` scale and share trained bundles through the
 experiment cache, so the whole module costs a couple of minutes of CPU.
 Each test asserts the *qualitative* property the corresponding figure
-demonstrates — the same properties EXPERIMENTS.md reports quantitatively.
+demonstrates — the claims ``docs/experiments.md`` lists per figure.
 """
 
 from dataclasses import replace

@@ -130,6 +130,30 @@ class TestBitFlipInjector:
         injector(acc, _FakeLayer("layer"))
         assert np.array_equal(acc, snapshot)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("ber", [0.0, 0.3])
+    def test_apply_plan_into_out_equals_copy(self, dtype, ber):
+        """``out=`` is the lanes walk's stacked-buffer flip: it must leave
+        the bytes ``apply_plan`` + a copy would, empty plans included, and
+        leave the source untouched."""
+        layer = _FakeLayer("layer")
+        acc = np.arange(-600, 600, 3, dtype=dtype).reshape(20, 20)
+        snapshot = acc.copy()
+        injector = BitFlipInjector({"layer": ber}, seed=4)
+        plan = injector.flip_plan(acc, layer)
+        assert (plan is None) == (ber == 0.0)
+        expected = injector.apply_plan(acc, plan).copy()
+        stacked = np.full((3 * 20, 20), -1, dtype=dtype)
+        out = stacked[20:40]
+        assert injector.apply_plan(acc, plan, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert np.all(stacked[:20] == -1) and np.all(stacked[40:] == -1)
+        assert acc.tobytes() == snapshot.tobytes()
+        with pytest.raises(ConfigurationError):
+            injector.apply_plan(acc, plan, out=np.empty((20, 40), dtype=dtype)[:, ::2])
+        with pytest.raises(ConfigurationError):
+            injector.apply_plan(acc, plan, out=np.empty((10, 40), dtype=dtype))
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             BitFlipInjector({"layer": 1.5})

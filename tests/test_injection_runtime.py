@@ -25,6 +25,7 @@ from repro.faults import (
     run_injection_trials,
 )
 from repro.faults.injection_job import _pass_msbs
+from repro.nn import quantize
 from repro.nn.quantize import FaultFreePass, QuantizedNetwork, TrialBatchStats, _QBlock
 
 MICRO = SCALES["micro"]
@@ -128,6 +129,37 @@ class TestRuntimeEquivalence:
         runs = {
             runtime: run_injection_trials(
                 resnet.qnet, x, y, {layer: 5e-3}, n_trials=3, base_seed=5, runtime=runtime
+            )
+            for runtime in ("serial", "batched")
+        }
+        assert runs["batched"].flips_injected > 0
+        assert runs["batched"].trial_accuracies == runs["serial"].trial_accuracies
+        assert runs["batched"].trial_correct == runs["serial"].trial_correct
+        assert runs["batched"].flips_injected == runs["serial"].flips_injected
+
+    @pytest.mark.parametrize(
+        "bundle_name, layers",
+        [
+            ("vgg", None),
+            ("resnet", None),
+            ("resnet", ["block2.shortcut"]),
+            ("resnet", ["block2.conv2"]),
+            ("resnet", ["block1.conv1"]),
+        ],
+        ids=["vgg-all", "resnet-all", "conv-shortcut-only", "qconv2-only", "identity-main-only"],
+    )
+    def test_one_image_accumulation_blocks(self, request, bundle_name, layers, monkeypatch):
+        # The lanes walk with every conv accumulated one image per block,
+        # its fault-free pass included, against the serial int64 loop;
+        # the one-sided cases join a diverged side with a fault-free one.
+        monkeypatch.setattr(quantize, "_ACC_BLOCK_BYTES", 1)
+        bundle = request.getfixturevalue(bundle_name)
+        names = layers or [qc.name for qc in bundle.qnet.qconvs(include_shortcuts=True)]
+        bers = {name: 5e-3 if layers else 3e-3 for name in names}
+        x, y = bundle.x_test[:16], bundle.y_test[:16]
+        runs = {
+            runtime: run_injection_trials(
+                bundle.qnet, x, y, bers, n_trials=3, base_seed=5, runtime=runtime
             )
             for runtime in ("serial", "batched")
         }
