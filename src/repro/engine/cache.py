@@ -2,10 +2,12 @@
 
 Extends the repository's existing ``.cache/`` convention (which already
 holds trained-model snapshots) with a ``sim-results/`` namespace: each
-:class:`~repro.engine.job.EngineJob` result is stored as one compressed
-``.npz`` under ``<root>/sim-results/<key[:2]>/<key>.npz``, where ``key``
-is the job's SHA-256 content hash (e.g. :func:`~repro.engine.job.job_key`
-for :class:`~repro.engine.job.SimJob`).
+:class:`~repro.engine.job.EngineJob` result is stored as one ``.npz`` of
+stored (uncompressed) members, built in memory by :func:`npz_bytes` and
+written in one ``write``, under ``<root>/sim-results/<key[:2]>/<key>.npz``,
+where ``key`` is the job's SHA-256 content hash (e.g.
+:func:`~repro.engine.job.job_key` for :class:`~repro.engine.job.SimJob`).
+Entries deflated by earlier versions still load.
 
 The cache itself is kind-agnostic: each job class supplies its own
 ``serialize_result`` / ``deserialize_result`` pair, and entries carry a
@@ -70,7 +72,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -127,6 +129,10 @@ _MAX_EXTRACT_VERSION = 63
 
 #: The compression methods ``np.savez`` and ``np.savez_compressed`` write.
 _STORED, _DEFLATED = 0, 8
+
+#: The DOS date of every member :func:`npz_bytes` writes (1980-01-01,
+#: the format's epoch), so equal arrays always make equal bytes.
+_DOS_EPOCH_DATE = (1 << 5) | 1
 
 #: Per-shard lock file name (dot-prefixed: invisible to the ``*.npz``
 #: globs and to the ``.*.tmp`` orphan sweep).
@@ -379,6 +385,51 @@ def read_npz(source: Union[str, Path, BinaryIO]) -> Dict[str, np.ndarray]:
     return arrays
 
 
+def npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
+    """``arrays`` as the bytes of one ``.npz`` archive of stored members.
+
+    What ``np.savez`` writes, read back equally by ``np.load`` and
+    :func:`read_npz`, but built in memory in one pass and without
+    ``zipfile``: each member is its array's ``.npy`` bytes behind a plain
+    local header, with a fixed timestamp, so equal arrays make equal
+    archives.  There are no zip64 records: a member or archive past
+    4 GiB raises ``ValueError`` (a cached result is kilobytes).  The
+    result cache's entries and the daemon's result frames are written
+    with it.
+    """
+    parts: List[bytes] = []
+    directory: List[bytes] = []
+    offset = 0
+    for name, value in arrays.items():
+        member = io.BytesIO()
+        np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
+        data = member.getvalue()
+        fname = f"{name}.npy".encode("utf-8")
+        flags = 0 if fname.isascii() else _UTF8_NAME
+        crc, size = zlib.crc32(data), len(data)
+        if offset + size >= _MAX32:
+            raise ValueError(f"npz member {name!r} ends past 4 GiB")
+        parts += [
+            _LOCAL_HEADER.pack(
+                _NPZ_MAGIC, 20, 0, flags, _STORED, 0, _DOS_EPOCH_DATE, crc, size, size,
+                len(fname), 0,
+            ),
+            fname,
+            data,
+        ]
+        directory += [
+            _CENTRAL_HEADER.pack(
+                _CENTRAL_SIG, 20, 0, 20, 0, flags, _STORED, 0, _DOS_EPOCH_DATE, crc, size,
+                size, len(fname), 0, 0, 0, 0, 0, offset,
+            ),
+            fname,
+        ]
+        offset += _LOCAL_HEADER.size + len(fname) + size
+    central = b"".join(directory)
+    end = _END_RECORD.pack(_END_SIG, 0, 0, len(arrays), len(arrays), len(central), offset, 0)
+    return b"".join(parts) + central + end
+
+
 def cache_root() -> Path:
     """Root of the repo-local on-disk cache (``$REPRO_CACHE`` or ``.cache``)."""
     return Path(os.environ.get(CACHE_ENV_VAR, Path(__file__).resolve().parents[3] / ".cache"))
@@ -464,8 +515,12 @@ class ResultCache:
         (``flock`` is released by the kernel on process exit), so a
         SIGKILLed writer can never wedge the store.
         """
-        shard.mkdir(parents=True, exist_ok=True)
-        with open(shard / _LOCK_FILE, "wb") as handle:
+        try:
+            handle = open(shard / _LOCK_FILE, "wb")
+        except FileNotFoundError:  # the shard's first entry
+            shard.mkdir(parents=True, exist_ok=True)
+            handle = open(shard / _LOCK_FILE, "wb")
+        with handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
                 yield
@@ -544,23 +599,26 @@ class ResultCache:
     def store(self, key: str, job: EngineJob, result) -> Path:
         """Atomically persist ``result`` under ``key``; returns the path.
 
-        The whole tmp-write + rename runs under the shard lock, which is
-        what licenses ``gc``'s orphan sweep: any ``.tmp`` visible while
-        holding the lock belongs to a dead writer.
+        The archive is built in memory (:func:`npz_bytes`) and written in
+        one ``write``.  The whole tmp-write + rename runs under the shard
+        lock, which is what licenses ``gc``'s orphan sweep: any ``.tmp``
+        visible while holding the lock belongs to a dead writer.
         """
         path = self.path_for(key)
         arrays = dict(job.serialize_result(result))
         arrays["__kind__"] = np.array(job.kind)
+        data = npz_bytes(arrays)
         # ".tmp" suffix (no ".npz") keeps in-flight writes invisible to
         # the "*/*.npz" globs used by __len__/clear().
         tmp = path.parent / f".{key}.{os.getpid()}.tmp"
         with self._shard_lock(path.parent):
             try:
                 with open(tmp, "wb") as handle:
-                    np.savez_compressed(handle, **arrays)
+                    handle.write(data)
                 os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+            except BaseException:
+                tmp.unlink(missing_ok=True)  # os.replace did not consume it
+                raise
         return path
 
     # ------------------------------------------------------------------ #

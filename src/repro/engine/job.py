@@ -337,9 +337,12 @@ class SimJob(EngineJob):
 
         ``tolist`` yields the same Python floats/ints/strs as per-element
         ``float()``/``int()``/``str()`` conversion, so the reports are
-        bit-identical to the ones that were stored.
+        bit-identical to the ones that were stored.  ``outputs`` is a
+        read-only copy: a stored member is a view of its whole entry's
+        bytes, which the reports would otherwise keep alive.
         """
-        outputs = np.asarray(data["outputs"], dtype=np.int64)
+        outputs = np.array(data["outputs"], dtype=np.int64)
+        outputs.flags.writeable = False
         columns = zip(
             data["corner_names"].tolist(),
             data["ter"].tolist(),

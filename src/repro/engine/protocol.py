@@ -26,10 +26,8 @@ import socket
 import struct
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import ReproError
-from .cache import read_npz
+from .cache import npz_bytes, read_npz
 from .job import EngineJob
 
 #: Bump on any frame-layout or verb-semantics change; client and server
@@ -124,10 +122,9 @@ def decode_jobs(blob: bytes) -> List[EngineJob]:
 
 
 def encode_result(job: EngineJob, result: object) -> bytes:
-    """One result as an in-memory ``.npz`` via the job's cache serializer."""
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **job.serialize_result(result))
-    return buf.getvalue()
+    """One result as an in-memory ``.npz`` of stored members, via the
+    job's cache serializer and the cache's writer (:func:`npz_bytes`)."""
+    return npz_bytes(job.serialize_result(result))
 
 
 def decode_result(job: EngineJob, blob: bytes) -> object:

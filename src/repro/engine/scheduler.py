@@ -139,19 +139,24 @@ def _fused_units(
     pending: Sequence[int],
     workers: int,
     factory: Callable[[], SimulationBackend],
-) -> List[Tuple[List[int], EngineJob]]:
-    """Pool work units for the cache-missing jobs: ``(indices, job)``.
+) -> List[Tuple[List[int], object]]:
+    """Work units for the cache-missing jobs: ``(indices, unit)``.
 
-    When the configured backend overrides
+    A unit's ``execute(factory)`` returns its job's result, or — for a
+    unit of several jobs — the list of their results, aligned with
+    ``indices``.  When the configured backend overrides
     :meth:`~repro.engine.backends.SimulationBackend.run_network`, the
     pending :class:`SimJob`\\ s are chunked into one stacked
     :class:`NetworkJob` per worker (contiguous, submission order) so
     every worker runs one whole-batch fold instead of per-layer tasks;
     a loop-only backend (or a single simulation) keeps raw per-job
-    units, and non-simulation kinds always travel alone.
+    units.  Batched injection cells that differ only in their BER table
+    fuse into one :class:`~repro.faults.injection_job.InjectionUnit`,
+    heaviest first (:func:`~repro.faults.injection_job.injection_units`);
+    other kinds travel alone.
     """
     sim_idx = [i for i in pending if isinstance(jobs[i], SimJob)]
-    units: List[Tuple[List[int], EngineJob]] = []
+    units: List[Tuple[List[int], object]] = []
     stacks = (
         len(sim_idx) > 1
         and type(factory()).run_network is not SimulationBackend.run_network
@@ -168,7 +173,16 @@ def _fused_units(
                 )
     else:
         units.extend(([i], jobs[i]) for i in sim_idx)
-    units.extend(([i], jobs[i]) for i in pending if not isinstance(jobs[i], SimJob))
+    inj_idx = [i for i in pending if jobs[i].kind == "injection"]
+    if inj_idx:  # the job class's own module, so already loaded
+        from ..faults.injection_job import injection_units
+
+        units.extend(injection_units(jobs, inj_idx))
+    units.extend(
+        ([i], jobs[i])
+        for i in pending
+        if not isinstance(jobs[i], SimJob) and jobs[i].kind != "injection"
+    )
     return units
 
 
@@ -207,6 +221,10 @@ class EngineMetrics:
     #: Injection trials whose flip draws collapsed onto an
     #: already-evaluated representative (zero-flip or duplicate draws).
     trials_deduped: int = 0
+    #: Work units the misses ran as, on the pool or inline: a stacked
+    #: :class:`NetworkJob`, a fused injection unit or a lone job each
+    #: count once (:func:`_fused_units`).
+    units: int = 0
 
     @property
     def total(self) -> int:
@@ -556,9 +574,15 @@ class SimEngine:
         # inside the backend does not repeat it (plans_diagnosed, here
         # and in _execute_job).
         factory = backend_factory(self.backend_name)
-        if len(pending) > 1 and self.workers > 1:
-            workers = min(self.workers, len(pending))
-            units = _fused_units(jobs, pending, workers, factory)
+        workers = min(self.workers, len(pending))
+        units = _fused_units(jobs, pending, max(workers, 1), factory)
+        self.stats.units += len(units)
+
+        def finish_unit(idxs: List[int], value: object) -> None:
+            for i, result in zip(idxs, [value] if len(idxs) == 1 else value):
+                finish(i, result)
+
+        if workers > 1:
             from concurrent.futures import as_completed
 
             with self._acquire_pool(workers) as pool:
@@ -568,11 +592,9 @@ class SimEngine:
                 }
                 try:
                     for future in as_completed(futures):
-                        idxs = futures[future]
                         value, counters = future.result()
                         self._merge_counters(counters)
-                        for i, result in zip(idxs, [value] if len(idxs) == 1 else value):
-                            finish(i, result)
+                        finish_unit(futures[future], value)
                 except BaseException:
                     # Withdraw the units no worker has started, so the
                     # error surfaces without running the rest of the batch.
@@ -580,22 +602,15 @@ class SimEngine:
                         future.cancel()
                     raise
         else:
+            # One unit at a time, fused as on the pool: every missing
+            # simulation in one run_network call (a loop-only backend's
+            # default is exactly the per-job loop), each corner's
+            # injection cells in one unit.
             with plans_diagnosed():
                 _drained_counters()  # not ours: accumulated outside the engine
                 try:
-                    sim_pending = [i for i in pending if isinstance(jobs[i], SimJob)]
-                    if len(sim_pending) > 1:
-                        # Stack all missing simulations through one
-                        # run_network call; a loop-only backend's default
-                        # is exactly the per-job loop this replaces.
-                        batch = factory().run_network([jobs[i] for i in sim_pending])
-                        for i, result in zip(sim_pending, batch):
-                            finish(i, result)
-                        rest = [i for i in pending if not isinstance(jobs[i], SimJob)]
-                    else:
-                        rest = pending
-                    for i in rest:
-                        finish(i, jobs[i].execute(factory))
+                    for idxs, unit in units:
+                        finish_unit(idxs, unit.execute(factory))
                 finally:
                     self._merge_counters(_drained_counters())
 

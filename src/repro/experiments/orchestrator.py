@@ -24,7 +24,10 @@ runner's ``steps(scale)`` generator at once (see :func:`lockstep`):
 
 The manifest is deterministic except for the ``"run"`` block (wall
 clocks and cache-hit counters), which is what lets the test suite assert
-byte-identical manifests across runs modulo timing.
+byte-identical manifests across runs modulo timing.  Its ``rounds`` list
+times each round's engine call beside its unique jobs, misses and work
+units; with ``per_experiment_s`` (the runners' own time, rendering
+included) it accounts for the run's ``wall_clock_s``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ def lockstep(
     engine: SimEngine,
     on_batch: Optional[Callable[[Hashable, List[EngineJob], List[str]], None]] = None,
     seconds: Optional[Dict[Hashable, float]] = None,
+    rounds: Optional[List[Dict[str, object]]] = None,
 ) -> Dict[Hashable, object]:
     """Drive several ``steps`` generators in rounds; return their results by name.
 
@@ -80,7 +84,10 @@ def lockstep(
     ``engine.run_many`` call over the unique jobs and sends every
     generator its own jobs' results.  ``on_batch(name, jobs, keys)`` sees
     each batch before it runs; ``seconds`` accumulates the time spent
-    inside each generator.
+    inside each generator, keying and recording its batches included.
+    ``rounds`` receives one record per round: its ``wall_s`` (dedup and
+    the engine call), the ``unique`` jobs it submitted, the ``misses``
+    the engine computed and the work ``units`` they ran as.
     """
     outcomes: Dict[Hashable, object] = {}
     batches: Dict[Hashable, Tuple[List[EngineJob], List[str]]] = {}
@@ -89,27 +96,38 @@ def lockstep(
         started = time.perf_counter()
         try:
             jobs = list(steps[name].send(results))
+            keys = [job.key() for job in jobs]
+            if on_batch is not None:
+                on_batch(name, jobs, keys)
+            batches[name] = (jobs, keys)
         except StopIteration as done:
             outcomes[name] = done.value
-            return
         finally:
             if seconds is not None:
                 seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
-        keys = [job.key() for job in jobs]
-        if on_batch is not None:
-            on_batch(name, jobs, keys)
-        batches[name] = (jobs, keys)
 
     def run_round() -> None:
         # A function of its own, so this round's jobs and results are
         # freed before the next round runs.
         nonlocal batches
         current, batches = batches, {}
+        started = time.perf_counter()
+        before = engine.stats.snapshot()
         unique: Dict[str, EngineJob] = {}
         for jobs, keys in current.values():
             for job, key in zip(jobs, keys):
                 unique.setdefault(key, job)
         by_key = dict(zip(unique, engine.run_many(list(unique.values()))))
+        if rounds is not None:
+            done = engine.stats.since(before)
+            rounds.append(
+                {
+                    "wall_s": round(time.perf_counter() - started, 3),
+                    "unique": len(unique),
+                    "misses": done.misses,
+                    "units": done.units,
+                }
+            )
         for name, (_, keys) in current.items():
             advance(name, [by_key[key] for key in keys])
 
@@ -148,13 +166,16 @@ def run_all(
     started = time.time()
     baseline_stats = engine.stats.snapshot()
     per_experiment_s: Dict[str, float] = {}
+    rounds: List[Dict[str, object]] = []
     with engine_context(engine):
         steps = {
             name: RUNNERS[name].steps(scale)
             for name in names
             if hasattr(RUNNERS[name], "steps")
         }
-        results = lockstep(steps, engine, on_batch=record, seconds=per_experiment_s)
+        results = lockstep(
+            steps, engine, on_batch=record, seconds=per_experiment_s, rounds=rounds
+        )
         swept = engine.stats.since(baseline_stats)
 
         texts: Dict[str, str] = {}
@@ -192,6 +213,7 @@ def run_all(
         "run": {
             "wall_clock_s": round(time.time() - started, 3),
             "per_experiment_s": per_experiment_s,
+            "rounds": rounds,
             "sweep": {
                 "planned": planned,
                 "unique": len(job_records),

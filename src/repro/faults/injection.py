@@ -36,13 +36,20 @@ bit-identical to the serial chunked loop.
 engine-scheduled campaigns (re-seeded per trial via
 :func:`~repro.faults.injection_job.trial_seed`) bit-reproducible across
 worker pools and the result cache.
+
+The same contract lets cells that differ only in their BER table share
+their draws: every injector seeded alike reads the same mask uniforms
+for a layer, and only the threshold ``u < ber`` differs.
+:func:`shared_masks` draws them once for all such injectors, and an
+injector given that draw (its ``shared`` field) plans its flips from it:
+the same plans :meth:`BitFlipInjector.flip_plan` draws for itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +58,9 @@ from ..hw import fixedpoint as fp
 
 
 _LAYER_DIGESTS: Dict[str, int] = {}
+
+#: One layer invocation's flips: C-order element indices and bit positions.
+FlipPlan = Tuple[np.ndarray, np.ndarray]
 
 
 def _layer_digest(layer_name: str) -> int:
@@ -149,6 +159,12 @@ class BitFlipInjector:
     seed:
         Seed of the injector's per-layer substreams; re-seed per trial to
         get the paper's five repeated simulations.
+    shared:
+        ``(masks, member)``: :func:`shared_masks` drawn at ``seed`` for
+        several BER tables, this injector's among them as entry
+        ``member``.  Its masks are then read from that draw, not drawn,
+        which plans each layer's single invocation (as the lanes walk
+        makes it) exactly as a live draw would.
     """
 
     ber_per_layer: Dict[str, float]
@@ -159,6 +175,9 @@ class BitFlipInjector:
     psum_width: int = fp.PSUM_WIDTH
     seed: int = 0
     msb_per_layer: Optional[Dict[str, int]] = None
+    shared: Optional[Tuple[Dict[str, "SharedMask"], int]] = field(
+        default=None, compare=False, repr=False
+    )
     flips_injected: int = field(default=0, init=False)
     elements_seen: int = field(default=0, init=False)
 
@@ -182,6 +201,7 @@ class BitFlipInjector:
         """Restart every per-layer random stream (one call per trial)."""
         self.seed = seed
         self._streams = {}
+        self.shared = None  # drawn at the old seed
         self.flips_injected = 0
         self.elements_seen = 0
 
@@ -210,9 +230,7 @@ class BitFlipInjector:
             )
         return msb - self.relative_window + 1, msb
 
-    def flip_plan(
-        self, acc: np.ndarray, layer
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def flip_plan(self, acc: np.ndarray, layer) -> Optional[FlipPlan]:
         """Draw one layer invocation's flips without applying them.
 
         Returns ``(flat_indices, positions)`` — the C-order element
@@ -235,20 +253,24 @@ class BitFlipInjector:
         self.elements_seen += acc.size
         if ber <= 0.0:
             return None
-        mask_rng, pos_rng = self._layer_streams(layer.name)
-        mask = mask_rng.random(acc.shape) < ber
-        n = int(mask.sum())
-        if n == 0:
+        if self.shared is None:
+            mask_rng, pos_rng = self._layer_streams(layer.name)
+            indices = np.flatnonzero(mask_rng.random(acc.shape).reshape(-1) < ber)
+        else:
+            masks, member = self.shared
+            indices = masks[layer.name].selected(member)
+            pos_rng = layer_stream(self.seed, layer.name, 1)
+        if indices.size == 0:
             return None
         low, high = self._flip_window(layer.name, acc)
-        positions = pos_rng.integers(low, high + 1, size=n)
-        self.flips_injected += n
-        return np.flatnonzero(mask.reshape(-1)), positions
+        positions = pos_rng.integers(low, high + 1, size=indices.size)
+        self.flips_injected += indices.size
+        return indices, positions
 
     def apply_plan(
         self,
         acc: np.ndarray,
-        plan: Optional[Tuple[np.ndarray, np.ndarray]],
+        plan: Optional[FlipPlan],
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Apply a :meth:`flip_plan` to ``acc``, which is left untouched.
@@ -285,6 +307,62 @@ class BitFlipInjector:
         layer batch yields identical flips (see the module docstring).
         """
         return self.apply_plan(acc, self.flip_plan(acc, layer))
+
+
+@dataclass(frozen=True, eq=False)
+class SharedMask:
+    """One (seed, layer) flip-mask draw, shared by injectors seeded alike.
+
+    Every injector seeded alike reads the same mask uniforms ``u`` for a
+    layer, and an injector at BER ``b`` selects the elements with
+    ``u < b``.  The draw keeps the elements under the largest BER
+    (``hits``, C order) and, for each, how many of the BERs exceed its
+    uniform (``levels``); injector ``i`` selects the hits whose level
+    exceeds ``ranks[i]``, the number of BERs above its own.  That is
+    exactly ``u < b`` for each injector, at 5 bytes per hit rather than
+    each injector's own index array.
+    """
+
+    hits: np.ndarray
+    levels: np.ndarray
+    ranks: Tuple[int, ...]
+
+    def selected(self, i: int) -> np.ndarray:
+        """Injector ``i``'s mask as C-order flat indices (``u < ber``)."""
+        return self.hits[self.levels > self.ranks[i]].astype(np.intp)
+
+
+def shared_masks(
+    seed: int,
+    tables: Sequence[Mapping[str, float]],
+    shapes: Mapping[str, Tuple[int, ...]],
+) -> Dict[str, SharedMask]:
+    """Each layer's flip-mask draw at ``seed``, once for several BER tables.
+
+    ``shapes`` maps a layer name to its accumulators' shape; a layer no
+    table flips draws nothing.  The uniforms are
+    ``layer_stream(seed, layer, 0).random(shape)``, the very array
+    :meth:`BitFlipInjector.flip_plan` of an injector at ``seed`` draws,
+    so an injector given these masks (``shared``) plans the same flips.
+    """
+    masks: Dict[str, SharedMask] = {}
+    for name, shape in shapes.items():
+        bers = [float(table.get(name, 0.0)) for table in tables]
+        top = max(bers, default=0.0)
+        if top <= 0.0:
+            continue
+        uniforms = layer_stream(seed, name, 0).random(shape).reshape(-1)
+        hits = np.flatnonzero(uniforms < top)
+        under = uniforms[hits]
+        levels = np.zeros(hits.size, np.uint8 if len(bers) < 256 else np.uint16)
+        for ber in bers:
+            if ber > 0.0:
+                levels += under < ber
+        if uniforms.size <= np.iinfo(np.int32).max:
+            hits = hits.astype(np.int32)
+        ranks = tuple(sum(other > ber for other in bers) for ber in bers)
+        masks[name] = SharedMask(hits, levels, ranks)
+    return masks
 
 
 def msb_weighted_positions(

@@ -16,6 +16,13 @@ whose faults are masked drop out — see :func:`run_injection_trials` and
 reference loop remains available via ``runtime="serial"`` /
 ``$REPRO_INJECTION_RUNTIME``; the two are bit-identical by contract.
 
+Cells that differ only in their BER table — a grid corner's three
+mapping strategies share the corner's seed — run on the batched runtime
+as one :class:`InjectionUnit`: the scheduler fuses them
+(:func:`injection_units`), the unit draws each (trial, layer) flip mask
+once for all of them (:func:`run_injection_unit`), and every cell keeps
+its own key, cache entry and result.
+
 Determinism is the load-bearing property: a worker process rebuilds the
 trained bundle via :func:`repro.experiments.common.get_bundle` (which
 loads the exact parameter snapshot the submitting process trained) and
@@ -34,6 +41,7 @@ weights (training set size, epochs, width, seeds) feeds the key.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 from collections import OrderedDict
@@ -44,11 +52,10 @@ import numpy as np
 
 from ..engine.job import EngineJob, feed_hash, memoized_key
 from ..errors import ConfigurationError
-from ..nn.quantize import FaultFreePass, TrialBatchStats, canonical_bits
+from ..nn.quantize import FaultFreePass, QuantizedNetwork, TrialBatchStats, canonical_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see execute())
     from ..experiments.common import ExperimentScale
-    from ..nn.quantize import QuantizedNetwork
 
 #: Bump when the trial protocol or the cached result layout changes.
 #: v2: per-(trial, layer) RNG substreams + full-batch active-MSB windows
@@ -74,9 +81,12 @@ INJECTION_RUNTIMES = ("batched", "serial")
 #: quantized im2col prefix.  Keyed by the bundle identity + injected
 #: slice; LRU bounded both by entry count and by total bytes (each pass
 #: pins every conv's accumulators, which grow with ``inject_n`` — see
-#: :meth:`~repro.nn.quantize.FaultFreePass.nbytes`).
+#: :meth:`~repro.nn.quantize.FaultFreePass.nbytes`).  Two entries: a
+#: corner's cells look their pass up once, as one :class:`InjectionUnit`,
+#: and a micro ``all``'s units come network by network, so its workers
+#: never go back to an evicted pass and hold at most two networks' passes.
 _PASS_CACHE: "OrderedDict[Tuple, FaultFreePass]" = OrderedDict()
-_PASS_CACHE_MAX = 4
+_PASS_CACHE_MAX = 2
 _PASS_CACHE_MAX_BYTES = 1 << 29  # 512 MB per worker process
 
 #: Per-process memo of serial-path active-MSB tables (same key space).
@@ -300,6 +310,27 @@ def _pass_msbs(
     }
 
 
+def _validate_trials(n_trials: int, trial_offset: int, base_seed: object) -> int:
+    """Check a trial block; returns the validated ``base_seed``."""
+    if n_trials < 1:
+        raise ConfigurationError("n_trials must be >= 1")
+    if trial_offset < 0:
+        raise ConfigurationError(f"trial_offset must be >= 0, got {trial_offset}")
+    return _validate_base_seed(base_seed)
+
+
+def _injects(bers: Mapping[str, float]) -> bool:
+    return any(b > 0.0 for b in bers.values())
+
+
+def _clean_result(
+    network: "QuantizedNetwork", x: np.ndarray, y: np.ndarray, topk: int, batch_size: int
+) -> InjectionResult:
+    """The one fault-free run an empty or all-zero BER table reduces to."""
+    acc = network.evaluate(x, y, topk=topk, batch_size=batch_size)
+    return _with_counts([acc], 0, int(x.shape[0]))
+
+
 def run_injection_trials(
     network: "QuantizedNetwork",
     x: np.ndarray,
@@ -325,8 +356,9 @@ def run_injection_trials(
     fault-free run (the *Ideal* corner).  Otherwise the campaign runs on
     one of two bit-identical runtimes (see :func:`injection_runtime`):
 
-    * ``batched`` (default) — the lanes walk of
-      :meth:`~repro.nn.quantize.QuantizedNetwork.evaluate_trials`: all
+    * ``batched`` (default) — :func:`run_injection_unit` with this one
+      table: flip masks drawn up front, then the lanes walk of
+      :meth:`~repro.nn.quantize.QuantizedNetwork.evaluate_trials`, all
       ``n_trials`` repetitions in one stacked forward pass.  Every trial
       starts on the shared fault-free prefix and forks from the
       recorded accumulators at its first effective flip.  Trials whose
@@ -335,8 +367,9 @@ def run_injection_trials(
       dedup events feed the engine's ``trials_deduped`` counter.
     * ``serial`` — the reference loop: one
       :class:`BitFlipInjector`, re-seeded per trial with
-      :func:`trial_seed`, driving ``n_trials`` chunked int64 forwards —
-      exactly the paper's protocol, unoptimized.
+      :func:`trial_seed`, drawing its flips live while it drives
+      ``n_trials`` chunked int64 forwards — exactly the paper's
+      protocol, unoptimized.
 
     ``trial_offset`` selects the absolute trial block ``[trial_offset,
     trial_offset + n_trials)`` of the seed stream: trial ``i`` of the
@@ -348,45 +381,20 @@ def run_injection_trials(
     active-MSB table in both runtimes (``prefix`` / ``msb_per_layer``
     let callers share a precomputed one).
     """
-    if n_trials < 1:
-        raise ConfigurationError("n_trials must be >= 1")
-    if trial_offset < 0:
-        raise ConfigurationError(f"trial_offset must be >= 0, got {trial_offset}")
-    base_seed = _validate_base_seed(base_seed)
-    n_images = int(x.shape[0])
+    base_seed = _validate_trials(n_trials, trial_offset, base_seed)
     bers = dict(ber_per_layer)
-    if not bers or all(b == 0.0 for b in bers.values()):
-        acc = network.evaluate(x, y, topk=topk, batch_size=batch_size)
-        return _with_counts([acc], 0, n_images)
+    if not _injects(bers):
+        return _clean_result(network, x, y, topk, batch_size)
+    if injection_runtime(runtime) == "batched":
+        return run_injection_unit(
+            network, x, y, [bers],
+            n_trials=n_trials, base_seed=base_seed, trial_offset=trial_offset,
+            topk=topk, batch_size=batch_size, mode=mode,
+            relative_window=relative_window, bit_low=bit_low, bit_high=bit_high,
+            prefix=prefix, msb_per_layer=msb_per_layer,
+        )[0]
     # The injector loads only for a run that flips bits.
     from .injection import BitFlipInjector, measure_active_msbs
-
-    resolved = injection_runtime(runtime)
-    if resolved == "batched":
-        if prefix is None:
-            prefix = network.fault_free_pass(x)
-        if mode == "relative" and msb_per_layer is None:
-            msb_per_layer = _pass_msbs(prefix, relative_window)
-        injectors = [
-            BitFlipInjector(
-                ber_per_layer=bers,
-                mode=mode,
-                relative_window=relative_window,
-                bit_low=bit_low,
-                bit_high=bit_high,
-                seed=trial_seed(base_seed, trial_offset + trial),
-                msb_per_layer=msb_per_layer,
-            )
-            for trial in range(n_trials)
-        ]
-        stats = TrialBatchStats()
-        accuracies = network.evaluate_trials(
-            x, y, injectors, topk=topk, batch_size=batch_size, prefix=prefix,
-            stats=stats,
-        )
-        record_runtime_counters(trials_deduped=stats.deduped)
-        flips = sum(inj.flips_injected for inj in injectors)
-        return _with_counts(accuracies, flips, n_images)
 
     if mode == "relative" and msb_per_layer is None:
         msb_per_layer = (
@@ -412,7 +420,88 @@ def run_injection_trials(
             network.evaluate(x, y, topk=topk, batch_size=batch_size, injector=injector)
         )
         flips += injector.flips_injected
-    return _with_counts(accuracies, flips, n_images)
+    return _with_counts(accuracies, flips, int(x.shape[0]))
+
+
+def run_injection_unit(
+    network: "QuantizedNetwork",
+    x: np.ndarray,
+    y: np.ndarray,
+    tables: Sequence[Mapping[str, float]],
+    *,
+    n_trials: int,
+    base_seed: int = 0,
+    trial_offset: int = 0,
+    topk: int = 1,
+    batch_size: int = 128,
+    mode: str = "relative",
+    relative_window: int = 3,
+    bit_low: int = 20,
+    bit_high: int = 23,
+    prefix: Optional["FaultFreePass"] = None,
+    msb_per_layer: Optional[Dict[str, int]] = None,
+) -> List[InjectionResult]:
+    """The batched runtime over cells that differ only in their BER table.
+
+    Returns one :class:`InjectionResult` per table, each bit-identical to
+    :func:`run_injection_trials` on that table alone (on either runtime).
+    Tables that flip nothing share one fault-free run.  For the others,
+    each trial's flip masks are drawn up front by
+    :func:`~repro.faults.injection.shared_masks` — every (trial, layer)
+    mask once for all tables, since the tables' injectors share the
+    trial's seed — and each table then runs its own lanes walk over
+    injectors that plan their flips from those draws (their ``shared``
+    field), with its own dedup events.  A
+    :class:`~repro.nn.quantize.QuantizedTokenNetwork` has no recorded
+    accumulators to draw against: each of its tables draws live in that
+    network's serial trial loop.
+    """
+    base_seed = _validate_trials(n_trials, trial_offset, base_seed)
+    tables = [dict(table) for table in tables]
+    live = [i for i, table in enumerate(tables) if _injects(table)]
+    results: List[Optional[InjectionResult]] = [None] * len(tables)
+    if len(live) < len(tables):
+        clean = _clean_result(network, x, y, topk, batch_size)
+        for i in set(range(len(tables))) - set(live):
+            results[i] = clean
+    if not live:
+        return results  # type: ignore[return-value]
+    from .injection import BitFlipInjector, shared_masks
+
+    if prefix is None:
+        prefix = network.fault_free_pass(x)
+    if mode == "relative" and msb_per_layer is None:
+        msb_per_layer = _pass_msbs(prefix, relative_window)
+    seeds = [trial_seed(base_seed, trial_offset + t) for t in range(n_trials)]
+    masks: List[Optional[Dict[str, object]]] = [None] * n_trials
+    if isinstance(network, QuantizedNetwork):
+        shapes = {name: acc.shape for name, acc in prefix.acc.items()}
+        masks = [shared_masks(seed, [tables[i] for i in live], shapes) for seed in seeds]
+    injectors = [
+        [
+            BitFlipInjector(
+                ber_per_layer=tables[i],
+                mode=mode,
+                relative_window=relative_window,
+                bit_low=bit_low,
+                bit_high=bit_high,
+                seed=seed,
+                msb_per_layer=msb_per_layer,
+                shared=None if drawn is None else (drawn, m),
+            )
+            for seed, drawn in zip(seeds, masks)
+        ]
+        for m, i in enumerate(live)
+    ]
+    n_images = int(x.shape[0])
+    for i, row in zip(live, injectors):
+        stats = TrialBatchStats()
+        accuracies = network.evaluate_trials(
+            x, y, row, topk=topk, batch_size=batch_size, prefix=prefix, stats=stats
+        )
+        record_runtime_counters(trials_deduped=stats.deduped)
+        results[i] = _with_counts(accuracies, sum(inj.flips_injected for inj in row), n_images)
+    return results  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,79 +659,22 @@ class InjectionJob(EngineJob):
             self.inject_n,
         )
 
+    def _unit_identity(self) -> str:
+        """The key of this cell with an empty BER table: cells that agree
+        on it differ only in their tables and may share an
+        :class:`InjectionUnit`."""
+        return dataclasses.replace(self, bers=()).key()
+
     def execute_range(self, trial_lo: int, trial_hi: int) -> InjectionResult:
         """Rebuild the trained bundle and replay trials ``[lo, hi)``.
 
         The shared body of :meth:`execute` (the full campaign) and
         :meth:`InjectionShard.execute` (one sub-range): trial ``t`` runs
         at ``trial_seed(base_seed, t)`` either way, so shard results
-        concatenate bit-identically into the monolithic result.
-
-        Repeated jobs on one bundle amortize their shared work inside the
-        executing process: ``get_bundle`` memoizes the rebuilt
-        :class:`~repro.experiments.common.TrainedBundle` per
-        (recipe, scale, seed) — so a grid of InjectionJobs re-loads and
-        re-quantizes the network once per worker, not once per job — and
-        the fault-free operand pass / active-MSB table are LRU-memoized
-        here the way :meth:`repro.engine.job.SimJob.build_plan` memoizes
-        mapping plans.  Imported lazily: the experiments package imports
-        the faults package at module level, so the reverse import must
-        happen at call time.
+        concatenate bit-identically into the monolithic result.  It runs
+        the cell as a unit of one (:func:`_execute_cells`).
         """
-        if not 0 <= trial_lo < trial_hi:
-            raise ConfigurationError(
-                f"trial range [{trial_lo}, {trial_hi}) is empty or negative"
-            )
-        from ..experiments.common import get_bundle
-
-        bundle = get_bundle(
-            self.recipe,
-            self.scale,
-            seed=self.bundle_seed,
-            bits_per_layer=self.bits,
-            default_bits=self.default_bits,
-        )
-        x, y = bundle.test_images(self.inject_n)
-        resolved = injection_runtime(self.runtime)
-        prefix = None
-        msbs = None
-        bers = self.ber_table()
-        if bers and any(b > 0.0 for b in bers.values()):
-            key = self._cache_identity()
-            if resolved == "batched":
-                prefix = _pass_cache_get(key, lambda: bundle.qnet.fault_free_pass(x))
-            elif self.mode == "relative":
-                from .injection import measure_active_msbs
-
-                msbs = _lru_get(
-                    _MSB_CACHE,
-                    key + (self.relative_window,),
-                    lambda: measure_active_msbs(
-                        bundle.qnet,
-                        x,
-                        relative_window=self.relative_window,
-                        batch_size=self.batch_size,
-                    ),
-                    _MSB_CACHE_MAX,
-                )
-        return run_injection_trials(
-            bundle.qnet,
-            x,
-            y,
-            bers,
-            n_trials=trial_hi - trial_lo,
-            base_seed=self.base_seed,
-            trial_offset=trial_lo,
-            topk=self.topk,
-            batch_size=self.batch_size,
-            mode=self.mode,
-            relative_window=self.relative_window,
-            bit_low=self.bit_low,
-            bit_high=self.bit_high,
-            runtime=resolved,
-            prefix=prefix,
-            msb_per_layer=msbs,
-        )
+        return _execute_cells((self,), trial_lo, trial_hi)[0]
 
     def execute(self, backend_factory=None) -> InjectionResult:
         """Replay the full seeded campaign (trials ``[0, n_trials)``).
@@ -689,6 +721,134 @@ class InjectionJob(EngineJob):
             trial_correct=correct,
             n_images=n_images,
         )
+
+
+def _execute_cells(
+    jobs: Sequence[InjectionJob], trial_lo: int, trial_hi: int
+) -> List[InjectionResult]:
+    """Rebuild the trained bundle and replay trials ``[lo, hi)`` of cells
+    that share a :meth:`InjectionJob._unit_identity`.
+
+    On the batched runtime the cells run as one :func:`run_injection_unit`;
+    on the serial one each draws its flips live, one cell after another.
+    Repeated cells on one bundle amortize their shared work inside the
+    executing process: ``get_bundle`` memoizes the rebuilt
+    :class:`~repro.experiments.common.TrainedBundle` per (recipe, scale,
+    seed) — so a grid of InjectionJobs re-loads and re-quantizes the
+    network once per worker, not once per job — and the fault-free
+    operand pass / active-MSB table are LRU-memoized here the way
+    :meth:`repro.engine.job.SimJob.build_plan` memoizes mapping plans.
+    Imported lazily: the experiments package imports the faults package
+    at module level, so the reverse import must happen at call time.
+    """
+    if not 0 <= trial_lo < trial_hi:
+        raise ConfigurationError(
+            f"trial range [{trial_lo}, {trial_hi}) is empty or negative"
+        )
+    from ..experiments.common import get_bundle
+
+    job = jobs[0]
+    bundle = get_bundle(
+        job.recipe,
+        job.scale,
+        seed=job.bundle_seed,
+        bits_per_layer=job.bits,
+        default_bits=job.default_bits,
+    )
+    x, y = bundle.test_images(job.inject_n)
+    tables = [cell.ber_table() for cell in jobs]
+    key = job._cache_identity()
+    trials = dict(
+        n_trials=trial_hi - trial_lo,
+        base_seed=job.base_seed,
+        trial_offset=trial_lo,
+        topk=job.topk,
+        batch_size=job.batch_size,
+        mode=job.mode,
+        relative_window=job.relative_window,
+        bit_low=job.bit_low,
+        bit_high=job.bit_high,
+    )
+    if injection_runtime(job.runtime) == "batched":
+        prefix = None
+        if any(_injects(table) for table in tables):
+            prefix = _pass_cache_get(key, lambda: bundle.qnet.fault_free_pass(x))
+        return run_injection_unit(bundle.qnet, x, y, tables, prefix=prefix, **trials)
+    results = []
+    for table in tables:
+        msbs = None
+        if _injects(table) and job.mode == "relative":
+            from .injection import measure_active_msbs
+
+            msbs = _lru_get(
+                _MSB_CACHE,
+                key + (job.relative_window,),
+                lambda: measure_active_msbs(
+                    bundle.qnet,
+                    x,
+                    relative_window=job.relative_window,
+                    batch_size=job.batch_size,
+                ),
+                _MSB_CACHE_MAX,
+            )
+        results.append(
+            run_injection_trials(
+                bundle.qnet, x, y, table, runtime="serial", msb_per_layer=msbs, **trials
+            )
+        )
+    return results
+
+
+@dataclass(frozen=True, eq=False)
+class InjectionUnit:
+    """Batched cells that differ only in their BER table, as one unit of work.
+
+    :func:`injection_units` builds one from a batch's cache-missing
+    :class:`InjectionJob`\\ s, the way the scheduler stacks
+    :class:`~repro.engine.job.SimJob`\\ s into a
+    :class:`~repro.engine.job.NetworkJob`.  It is never keyed or cached:
+    the scheduler files each member's result under the member's own key,
+    so every cell keeps its cache entry, manifest record and dedup events.
+    The result is the list of member results, aligned with ``jobs``.
+    """
+
+    jobs: Tuple[InjectionJob, ...]
+
+    def execute(self, backend_factory=None) -> List[InjectionResult]:
+        """``backend_factory`` is ignored, as on :class:`InjectionJob`."""
+        return _execute_cells(self.jobs, 0, self.jobs[0].n_trials)
+
+
+def _walks(job: InjectionJob) -> int:
+    """A cell's dispatch weight: its trial walks, or its one clean
+    evaluation when its table flips nothing."""
+    return job.n_trials if _injects(job.ber_table()) else 1
+
+
+def injection_units(
+    jobs: Sequence[EngineJob], indices: Sequence[int]
+) -> List[Tuple[List[int], object]]:
+    """Pool units for the cache-missing :class:`InjectionJob`\\ s at ``indices``.
+
+    Batched cells that share a unit identity fuse into one
+    :class:`InjectionUnit`; a cell alone and a serial cell travel alone.
+    Units come heaviest first — by the trial walks their cells run — so
+    the coarse ones start early and do not lengthen a batch's tail.
+    """
+    groups: Dict[str, List[int]] = {}
+    units: List[Tuple[List[int], object]] = []
+    for i in indices:
+        job = jobs[i]
+        if injection_runtime(job.runtime) == "batched":
+            groups.setdefault(job._unit_identity(), []).append(i)
+        else:
+            units.append(([i], job))
+    for idxs in groups.values():
+        if len(idxs) == 1:
+            units.append((idxs, jobs[idxs[0]]))
+        else:
+            units.append((idxs, InjectionUnit(jobs=tuple(jobs[i] for i in idxs))))
+    return sorted(units, key=lambda unit: -sum(_walks(jobs[i]) for i in unit[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -326,7 +326,9 @@ class QuantizedConv:
         one).  Each block is quantized (the float64 divide/round/clip of
         :meth:`quantize_input`, so every quantization decision is the
         same), written into one zero-bordered buffer, gathered group by
-        group into one reused channels-contiguous column buffer, and
+        group — through one window view of that buffer, built once per
+        call and sliced per block — into one reused channels-contiguous
+        column buffer, and
         multiplied into its rows of one preallocated output.  A block's
         columns and GEMM stay in a core's L2 cache, and no call holds
         the whole batch's columns.  Splitting the rows cannot change a
@@ -358,6 +360,7 @@ class QuantizedConv:
         dtype = w_groups[0].dtype
         per_block = max(1, min(n, _ACC_BLOCK_BYTES // (pix * taps * c_g * dtype.itemsize)))
         padded = np.zeros((per_block, h + 2 * p, w + 2 * p, c), dtype=dtype)
+        block_windows = _windows_nhwc(padded, fy, fx, self.stride)
         cols = np.empty((per_block * pix, taps * c_g), dtype=dtype)
         acc = np.empty((n * pix, self.out_channels), dtype=dtype)
         recorded = np.empty((n * pix, self.groups, c_g, taps), np.int64) if self.record else None
@@ -367,7 +370,7 @@ class QuantizedConv:
             np.round(x_q, out=x_q)
             np.clip(x_q, 0, q_max, out=x_q)
             padded[:nb, p : p + h, p : p + w] = x_q
-            windows = _windows_nhwc(padded[:nb], fy, fx, self.stride)
+            windows = block_windows[:nb]
             rows = slice(lo * pix, (lo + nb) * pix)
             cols_b = cols[: nb * pix]
             cols6 = cols_b.reshape(nb, oh, ow, fy, fx, c_g)
@@ -1088,6 +1091,9 @@ class QuantizedNetwork:
             ctx.injectors[t].apply_plan(
                 base(assign[t]), plans[t], out=stacked[c * rows : (c + 1) * rows]
             )
+        # Free the plans and the unflipped accumulators before the
+        # float64 output is allocated: they set the walk's peak otherwise.
+        plans = seen = acc = None
         return qc.dequantize_nhwc(stacked, oh, ow), new_assign
 
     def _lane_block(

@@ -253,6 +253,19 @@ class TestBlockedAccumulation:
         assert acc.nbytes == 64 * 32 * 32 * 8 * 4
         assert peak < full_cols / 4, peak
 
+    def test_one_window_view_per_call(self, monkeypatch):
+        """The padded buffer's window view is built once per call and
+        sliced per block, however many blocks the batch splits into."""
+        rng = np.random.default_rng(2)
+        qc = _qconv(rng, 8, 8, 3, 3, 1, 1)
+        x = np.abs(rng.standard_normal((5, 7, 6, 8)))
+        force_images_per_block(monkeypatch, qc, x, 2)  # blocks of 2, 2 and 1
+        views = []
+        real = Q._windows_nhwc
+        monkeypatch.setattr(Q, "_windows_nhwc", lambda *a: views.append(a) or real(*a))
+        qc.accumulate_nhwc(x)
+        assert len(views) == 1
+
 
 class TestCol2imOracle:
     @staticmethod

@@ -214,11 +214,17 @@ class TestResultCache:
         # A member whose deflate stream is damaged raises zlib.error, not
         # BadZipFile; it must be a miss that deletes the entry too, or
         # every rerun would trip over the same file.
+        # The cache writes stored members; this entry is deflated, as
+        # earlier versions wrote theirs, and must still load.
         cache = ResultCache(tmp_path)
         job = make_job(seed=15)
         key = job.key()
-        cache.store(key, job, SimEngine(backend="vector", use_cache=False).run(job))
+        result = SimEngine(backend="vector", use_cache=False).run(job)
         path = cache.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez_compressed(path, **job.serialize_result(result), __kind__=np.array(job.kind))
+        assert_reports_equivalent(result, cache.load(key, job))
+        assert path.exists()  # a good deflated entry is kept
         with zipfile.ZipFile(path) as archive:
             info = archive.getinfo("ter.npy")
         assert info.compress_type == zipfile.ZIP_DEFLATED

@@ -12,7 +12,10 @@ the cache's decode errors, so a damaged entry stays a miss: crafted
 archives (comments, data descriptors, zip64 records, bad CRCs, renamed
 headers, malformed members) and a seeded single-byte-flip fuzz of real
 entries check that.  Trained-state files in the earlier deflated format
-must restore exactly what the stored format does.
+must restore exactly what the stored format does.  The one writer,
+:func:`~repro.engine.cache.npz_bytes`, builds stored archives both
+readers decode alike, and :meth:`~repro.engine.cache.ResultCache.store`
+writes each in one ``write``.
 """
 
 import io
@@ -25,7 +28,9 @@ import pytest
 
 from repro.core import MappingStrategy
 from repro.engine import ResultCache, SimEngine, SimJob
+from repro.engine import cache as cache_module
 from repro.engine.cache import _DECODE_ERRORS, _npy_header, read_npz
+from repro.engine.cache import npz_bytes as write_npz
 from repro.experiments.common import load_model_state, save_model_state
 from repro.nn.datasets import load_dataset
 from repro.nn.layers import BatchNorm2d
@@ -297,7 +302,7 @@ class TestArchiveStructure:
 
 
 def _result_entry(tmp_path):
-    """A real result entry, as ``ResultCache.store`` writes it (deflated)."""
+    """A real result entry, as ``ResultCache.store`` writes it (stored)."""
     rng = np.random.default_rng(5)
     job = SimJob(
         acts=rng.integers(0, 256, size=(6, 8)),
@@ -380,3 +385,109 @@ class TestTrainedStateFiles:
             for name, values in calibration.items():
                 assert restored[name].dtype == values.dtype
                 assert restored[name].tobytes() == values.tobytes()
+
+
+class TestWriter:
+    """``npz_bytes``: result entries and daemon frames, stored, in memory."""
+
+    def test_every_array_kind_reads_back_like_np_load(self):
+        blob = write_npz(ARRAY_KINDS)
+        assert decodes_like_np_load(blob)
+        got = read_npz(io.BytesIO(blob))
+        assert list(got) == list(ARRAY_KINDS)
+        for name, want in ARRAY_KINDS.items():
+            assert got[name].dtype == want.dtype and got[name].shape == want.shape
+            assert got[name].tobytes("A") == want.tobytes("A")
+            assert got[name].flags.f_contiguous == want.flags.f_contiguous
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            assert archive.testzip() is None
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_equal_arrays_make_equal_bytes(self):
+        copy = {name: np.array(arr, order="K") for name, arr in ARRAY_KINDS.items()}
+        assert write_npz(ARRAY_KINDS) == write_npz(copy)
+
+    def test_non_ascii_member_names(self):
+        blob = write_npz({"größe": np.arange(3), "plain": np.zeros(2)})
+        assert decodes_like_np_load(blob)
+        assert list(read_npz(io.BytesIO(blob))) == ["größe", "plain"]
+
+
+class TestLeanStore:
+    """``ResultCache.store``: one write, mkdir only for a new shard, no
+    unlink of a temp file ``os.replace`` consumed."""
+
+    def _job_and_result(self):
+        rng = np.random.default_rng(8)
+        job = SimJob(
+            acts=rng.integers(0, 256, size=(6, 8)),
+            weights=rng.integers(-128, 128, size=(8, 4)),
+            corners=(TER_EVAL_CORNER,),
+            group_size=4,
+            strategy=MappingStrategy.BASELINE,
+        )
+        return job, SimEngine(backend="vector", use_cache=False).run(job)
+
+    def test_store_writes_one_stored_archive(self, tmp_path, monkeypatch):
+        job, result = self._job_and_result()
+        cache = ResultCache(tmp_path)
+        writes = []
+        real_open = open
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            if str(path).endswith(".tmp"):
+                write = handle.write
+                handle = _Recorder(handle, lambda data: (writes.append(len(data)), write(data))[1])
+            return handle
+
+        monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
+        path = cache.store(job.key(), job, result)
+        assert len(writes) == 1 and writes[0] == path.stat().st_size
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        assert decodes_like_np_load(path.read_bytes())
+        assert cache.load(job.key(), job) is not None
+
+    def test_mkdir_and_unlink_only_when_needed(self, tmp_path, monkeypatch):
+        job, result = self._job_and_result()
+        cache = ResultCache(tmp_path)
+        calls = []
+        for name in ("mkdir", "unlink"):
+            real = getattr(Path, name)
+
+            def spy(self, *args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, spy)
+        cache.store(job.key(), job, result)
+        assert calls == ["mkdir"]  # a new shard
+        calls.clear()
+        cache.store(job.key(), job, result)
+        assert calls == []  # an existing shard, and the temp file was renamed
+        monkeypatch.setattr(cache_module.os, "replace", _failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            cache.store(job.key(), job, result)
+        assert calls == ["unlink"]
+        assert not list(cache.path_for(job.key()).parent.glob("*.tmp"))
+
+
+def _failing_replace(src, dst):
+    raise OSError("replace failed")
+
+
+class _Recorder:
+    """A file handle whose ``write`` goes through ``write``."""
+
+    def __init__(self, handle, write):
+        self._handle, self.write = handle, write
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._handle.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)

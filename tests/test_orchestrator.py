@@ -8,6 +8,7 @@ produce a byte-identical manifest modulo the volatile ``"run"`` block.
 """
 
 import json
+import os
 
 import pytest
 
@@ -138,6 +139,24 @@ class TestCacheReuse:
         assert run["total"]["computed"] == 0
         assert run["sweep"]["misses"] == 0
         assert run["total"]["cache_hits"] > 0
+
+    def test_rounds_account_for_the_run(self, sweeps):
+        cold, warm = sweeps
+        for result, misses in ((cold, [295, 72]), (warm, [0, 0])):
+            run = result.manifest["run"]
+            rounds = run["rounds"]
+            assert [r["unique"] for r in rounds] == [295, 72]
+            assert [r["misses"] for r in rounds] == misses
+            # The cold run's simulations stack into one fold per worker
+            # and each grid corner's three cells into one injection unit.
+            if misses[0]:
+                assert 1 <= rounds[0]["units"] <= max(os.cpu_count() or 1, 1)
+                assert rounds[1]["units"] == 24
+            else:
+                assert [r["units"] for r in rounds] == [0, 0]
+            accounted = sum(r["wall_s"] for r in rounds) + sum(run["per_experiment_s"].values())
+            assert accounted <= run["wall_clock_s"] + 0.01
+            assert accounted >= 0.9 * run["wall_clock_s"] - 0.05
 
     def test_warm_run_reads_each_key_once(self, sweeps, warm_cache):
         _, warm = sweeps
