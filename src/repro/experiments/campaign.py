@@ -66,6 +66,7 @@ from .common import (
     clean_accuracy,
     get_bundle,
     get_scale,
+    peak_rss_mb,
     render_table,
 )
 from .fig10 import grid_injection_jobs
@@ -366,6 +367,7 @@ def run_campaign(
         "totals": totals,
         "run": {
             "wall_clock_s": round(time.time() - started, 3),
+            "peak_rss_mb": peak_rss_mb(),
             "resumed": resume,
             "injection_runtime": injection_runtime(),
             "engine": {

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import resource
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
@@ -367,16 +368,20 @@ def get_bundle(
     if calibration is None:
         # Training, or a file without current observations: the only
         # paths that draw the training split.
+        from ..nn.training import Trainer, trim_heap
+
         x_train, y_train = dataset.train_split(scale.n_train, seed=seed)
         if not trained:
-            from ..nn.training import Trainer
-
             Trainer(model, lr=0.03, batch_size=32, seed=seed).fit(
                 x_train, y_train, epochs=scale.epochs
             )
         qnet = quantize_model(model, bits_per_layer=dict(bits), default_bits=default_bits)
         qnet.calibrate(x_train[: min(64, x_train.shape[0])])
         save_model_state(model, state_path, qnet.calibration())
+        # Hand what training and calibration freed back to the OS, so
+        # the pool workers this process forks later do not inherit it.
+        del x_train, y_train
+        trim_heap()
     else:
         qnet = quantize_model(model, bits_per_layer=dict(bits), default_bits=default_bits)
         qnet.restore_calibration(calibration)
@@ -420,6 +425,24 @@ def clean_accuracy(
         if cache is not None:
             cache.store(job.key(), job, result)
     return result.trial_accuracies[0]
+
+
+def peak_rss_mb() -> Dict[str, float]:
+    """Peak resident memory so far, in MB: this process's and its workers'.
+
+    ``parent`` is ``getrusage(RUSAGE_SELF).ru_maxrss``; ``workers`` is
+    ``RUSAGE_CHILDREN``'s, the peak of the largest child this process has
+    waited for (0.0 before any): a run's pool workers, which are joined
+    when each batch ends.  A forked worker's peak counts the pages it
+    inherited from the parent.  Every manifest ``run`` block records it.
+    """
+    return {
+        who: round(resource.getrusage(flag).ru_maxrss * 1024 / 1e6, 1)
+        for who, flag in (
+            ("parent", resource.RUSAGE_SELF),
+            ("workers", resource.RUSAGE_CHILDREN),
+        )
+    }
 
 
 # ---------------------------------------------------------------------- #

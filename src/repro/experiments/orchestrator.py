@@ -23,8 +23,9 @@ runner's ``steps(scale)`` generator at once (see :func:`lockstep`):
    engine configuration.
 
 The manifest is deterministic except for the ``"run"`` block (wall
-clocks and cache-hit counters), which is what lets the test suite assert
-byte-identical manifests across runs modulo timing.  Its ``rounds`` list
+clocks, cache-hit counters and the processes' ``peak_rss_mb``), which is
+what lets the test suite assert byte-identical manifests across runs
+modulo timing.  Its ``rounds`` list
 times each round's engine call beside its unique jobs, misses and work
 units; with ``per_experiment_s`` (the runners' own time, rendering
 included) it accounts for the run's ``wall_clock_s``.
@@ -40,7 +41,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..engine import EngineJob, SimEngine, default_engine, engine_context
 from . import RUNNERS
-from .common import ExperimentScale, Steps, get_scale
+from .common import ExperimentScale, Steps, get_scale, peak_rss_mb
 
 #: Manifest layout version.
 MANIFEST_SCHEMA = 1
@@ -212,6 +213,7 @@ def run_all(
         "jobs": job_records,
         "run": {
             "wall_clock_s": round(time.time() - started, 3),
+            "peak_rss_mb": peak_rss_mb(),
             "per_experiment_s": per_experiment_s,
             "rounds": rounds,
             "sweep": {

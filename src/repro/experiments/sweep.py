@@ -42,6 +42,7 @@ from .common import (
     get_bundle,
     get_scale,
     layer_ter_steps,
+    peak_rss_mb,
     render_table,
 )
 from .fig10 import grid_injection_jobs
@@ -198,6 +199,7 @@ def suite_manifest(result: SuiteResult, engine: Optional[SimEngine] = None) -> D
         manifest["run"] = {
             "backend": engine.backend_name,
             "stats": engine.stats.as_dict(),
+            "peak_rss_mb": peak_rss_mb(),
         }
     return manifest
 

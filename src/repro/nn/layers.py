@@ -19,15 +19,31 @@ from . import functional as F
 
 
 class Parameter:
-    """A trainable tensor with its gradient accumulator."""
+    """A trainable tensor with its gradient accumulator.
+
+    The accumulator is allocated, as zeros, on first use, so a network
+    that is only loaded and run holds no gradient buffer; assigning
+    ``None`` frees it.
+    """
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad: Optional[np.ndarray] = None
         self.name = name
 
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._grad = value
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Parameter({self.name or 'unnamed'}, shape={self.data.shape})"
@@ -37,6 +53,9 @@ class Module:
     """Base class: forward/backward plus parameter traversal."""
 
     training: bool = True
+
+    #: Attributes in which a module keeps what its backward reads.
+    _BACKWARD_STATE = ("_cache", "_mask", "_x")
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -80,6 +99,20 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
+
+    def clear_backward_state(self) -> None:
+        """Drop every module's forward cache and every gradient buffer.
+
+        What backward reads (im2col columns, batch-norm statistics, ReLU
+        masks, layer inputs) would otherwise stay alive, from the last
+        forward on, for as long as the model does.
+        """
+        for module in self.modules():
+            for attr in self._BACKWARD_STATE:
+                if hasattr(module, attr):
+                    setattr(module, attr, None)
+        for p in self.parameters():
+            p.grad = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

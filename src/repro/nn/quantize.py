@@ -157,7 +157,12 @@ class QuantizedConv:
     weight_q / w_scale / bias:
         Folded, quantized parameters (``weight_bits`` per-tensor
         symmetric weights, ``act_bits`` unsigned activations — a
-        mixed-precision network varies these per layer).
+        mixed-precision network varies these per layer).  ``weight_q``
+        is read-only and stored narrow (int8, int16 above 8 bits); the
+        int64 GEMMs read :meth:`lowered_group_weights`.
+    weight_float:
+        The BN-folded float weights, read only by the float calibration
+        pass; ``None`` once the layer is calibrated.
     groups:
         Grouped-convolution factor: the layer executes as ``groups``
         independent integer GEMMs over contiguous channel blocks
@@ -191,8 +196,9 @@ class QuantizedConv:
                 f"{weight.shape[0]} output channels"
             )
         self.name = name
-        self.weight_float = weight
-        self.weight_q, self.w_scale = quantize_weights(weight, n_bits=weight_bits)
+        self.weight_float: Optional[np.ndarray] = weight
+        w_q, self.w_scale = quantize_weights(weight, n_bits=weight_bits)
+        self.weight_q = _frozen(w_q.astype(np.int8 if weight_bits <= 8 else np.int16))
         self.bias = bias
         self.stride = stride
         self.padding = padding
@@ -250,23 +256,25 @@ class QuantizedConv:
         return self.lowered_group_weights()[0]
 
     def lowered_group_weights(self) -> List[np.ndarray]:
-        """Per-group GEMM weight matrices ``((C/g)*Fy*Fx, K/g)``, built afresh.
+        """Per-group int64 GEMM weight matrices ``((C/g)*Fy*Fx, K/g)``.
 
-        Built from ``weight_q`` on each call, not copied from the int64
-        GEMM's memo, so a process that never runs that GEMM (a warm run,
-        or one on the BLAS walks only) holds no int64 copy of the weights.
+        The op's one int64 lowering, built on first use and kept:
+        read-only and C-contiguous, so the int64 reference GEMM and every
+        :class:`~repro.engine.SimJob` of every strategy and experiment
+        share its buffers instead of each holding a copy.
         """
-        k_g = self.weight_q.shape[0] // self.groups
-        return [
-            self.weight_q[g * k_g : (g + 1) * k_g].reshape(k_g, -1).T.copy()
-            for g in range(self.groups)
-        ]
-
-    def _lowered_weights(self) -> List[np.ndarray]:
-        """Memoized per-group lowered weight matrices (frozen post-build)."""
         if self._lowered is None:
-            self._lowered = self.lowered_group_weights()
-        return self._lowered
+            k_g = self.weight_q.shape[0] // self.groups
+            self._lowered = [
+                _frozen(
+                    np.ascontiguousarray(
+                        self.weight_q[g * k_g : (g + 1) * k_g].reshape(k_g, -1).T,
+                        dtype=np.int64,
+                    )
+                )
+                for g in range(self.groups)
+            ]
+        return list(self._lowered)
 
     def acc_bound(self) -> int:
         """Largest possible |partial sum| of this layer's integer GEMM.
@@ -280,7 +288,8 @@ class QuantizedConv:
         regardless of BLAS blocking, threading or batch shape.
         """
         q_max = (1 << self.act_bits) - 1
-        col_sums = np.abs(self.weight_q.reshape(self.out_channels, -1)).sum(axis=1)
+        w_q = self.weight_q.reshape(self.out_channels, -1)
+        col_sums = np.abs(w_q, dtype=np.int64).sum(axis=1)
         return int(q_max) * int(col_sums.max(initial=0))
 
     def _blas_weights_nhwc(self) -> Optional[List[np.ndarray]]:
@@ -437,12 +446,16 @@ class QuantizedConv:
         return np.concatenate(outs, axis=1)
 
     def finalize_calibration(self) -> None:
-        """Fix the activation scale from the observed calibration range."""
+        """Fix the activation scale from the observed calibration range.
+
+        Drops ``weight_float``: only the float calibration pass reads it.
+        """
         if self._observed_max <= 0:
             raise QuantizationError(
                 f"layer {self.name}: no positive activations observed during calibration"
             )
         self.in_scale = self._observed_max / ((1 << self.act_bits) - 1)
+        self.weight_float = None
 
     def observations(self) -> Tuple[float, ...]:
         """What the float calibration pass observed: the input maximum."""
@@ -471,7 +484,7 @@ class QuantizedConv:
         cols = im2col(x_q, fy, fx, stride=self.stride, padding=self.padding)
         if self.record:
             self.recorded_cols = cols
-        lowered = self._lowered_weights()
+        lowered = self.lowered_group_weights()
         if self.groups == 1:
             return cols @ lowered[0]  # (N*OH*OW, K) int64
         return np.concatenate(
@@ -1287,8 +1300,12 @@ class QuantizedMatmul:
         if weight.ndim != 2:
             raise QuantizationError(f"matmul {name}: weight must be 2-D, got {weight.shape}")
         self.name = name
-        self.weight_float = weight
-        self.weight_q, self.w_scale = quantize_weights(weight, n_bits=weight_bits)
+        #: Read only by the float calibration pass; ``None`` once calibrated.
+        self.weight_float: Optional[np.ndarray] = weight
+        w_q, self.w_scale = quantize_weights(weight, n_bits=weight_bits)
+        #: Read-only int64 ``(in_features, out_features)``: the GEMM's
+        #: weights and its one lowering (:meth:`lowered_group_weights`).
+        self.weight_q = _frozen(np.ascontiguousarray(w_q))
         self.bias = bias
         self.act_bits = act_bits
         self.weight_bits = weight_bits
@@ -1320,10 +1337,11 @@ class QuantizedMatmul:
 
     def lowered_weight_matrix(self) -> np.ndarray:
         """Quantized GEMM weights ``(in_features, out_features)`` for READ planning."""
-        return self.weight_q.copy()
+        return self.weight_q
 
     def lowered_group_weights(self) -> List[np.ndarray]:
-        return [self.weight_q.copy()]
+        """``[weight_q]``: a static matmul's weights are already its lowering."""
+        return [self.weight_q]
 
     def _act_q_max(self) -> int:
         return (1 << (self.act_bits - 1)) - 1 if self.act_signed else (1 << self.act_bits) - 1
@@ -1347,13 +1365,17 @@ class QuantizedMatmul:
         return x @ self.weight_float + self.bias
 
     def finalize_calibration(self) -> None:
-        """Fix the activation scale — and signedness — from calibration."""
+        """Fix the activation scale — and signedness — from calibration.
+
+        Drops ``weight_float``: only the float calibration pass reads it.
+        """
         if self._observed_max <= 0:
             raise QuantizationError(
                 f"matmul {self.name}: no nonzero activations observed during calibration"
             )
         self.act_signed = self._observed_min < 0.0
         self.in_scale = self._observed_max / self._act_q_max()
+        self.weight_float = None
 
     def observations(self) -> Tuple[float, ...]:
         """What the float calibration pass observed: ``(max |x|, min x)``."""

@@ -9,6 +9,7 @@ study has a meaningful accuracy to degrade.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import List
 
@@ -91,7 +92,11 @@ class Trainer:
         epochs: int,
         verbose: bool = False,
     ) -> TrainHistory:
-        """Train for ``epochs`` passes, leaving the model in eval mode; returns the losses."""
+        """Train for ``epochs`` passes, leaving the model in eval mode; returns the losses.
+
+        The model keeps no backward state afterwards (see
+        :meth:`~repro.nn.layers.Module.clear_backward_state`).
+        """
         history = TrainHistory()
         n = x_train.shape[0]
         for epoch in range(epochs):
@@ -110,6 +115,7 @@ class Trainer:
             if (epoch + 1) % self.lr_decay_every == 0:
                 self.optimizer.lr *= self.lr_decay
         self.model.eval()
+        self.model.clear_backward_state()
         return history
 
     def _train_step(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -135,3 +141,23 @@ class Trainer:
             logits = self.model.forward(xb)
             correct_weighted += F.accuracy(logits, yb, topk=topk) * xb.shape[0]
         return correct_weighted / x.shape[0]
+
+
+def trim_heap() -> None:
+    """Hand the heap's free pages back to the OS: glibc's ``malloc_trim(0)``.
+
+    Freeing training's MB-sized temporaries returns little by itself:
+    glibc keeps freed chunks below its (dynamically raised) mmap
+    threshold in the heap.  A process that trained and calibrated the
+    four micro paper bundles held 352 MiB with every backward cache
+    dropped, and 73 MiB after this call (VmRSS, one BLAS thread); every
+    pool worker it forks inherits what it holds.  A no-op where the C
+    library has no ``malloc_trim``.
+    """
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):  # pragma: no cover - not glibc
+        return
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)

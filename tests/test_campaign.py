@@ -288,6 +288,8 @@ class TestCampaignEndToEnd:
             lo, hi = cell["ci"]
             assert 0.0 <= lo <= cell["mean_accuracy"] <= hi <= 1.0
             assert cell["trials"] >= 1 and cell["shard_keys"]
+        peak = manifest["run"]["peak_rss_mb"]
+        assert set(peak) == {"parent", "workers"} and peak["parent"] > 0
         # deterministic block carries no filesystem paths
         assert "/" not in "".join(manifest["campaign"]["corners"])
         assert str(result.artifacts_dir) not in stable_manifest(manifest)

@@ -74,6 +74,14 @@ class TestManifest:
         cold, _ = sweeps
         assert set(cold.manifest["experiments"]) == set(RUNNERS)
 
+    def test_run_block_records_peak_rss(self, sweeps):
+        for result in sweeps:
+            on_disk = json.loads(result.manifest_path.read_text())
+            for manifest in (result.manifest, on_disk):
+                peak = manifest["run"]["peak_rss_mb"]
+                assert set(peak) == {"parent", "workers"}
+                assert peak["parent"] > 0 and peak["workers"] >= 0
+
     def test_outputs_written(self, sweeps):
         cold, _ = sweeps
         for name, entry in cold.manifest["experiments"].items():

@@ -16,9 +16,16 @@ Covers the scenario-matrix expansion end to end at micro scale:
 import numpy as np
 import pytest
 
+from repro.engine import default_engine
 from repro.errors import ConfigurationError
 from repro.experiments.common import clean_accuracy, drive, get_bundle, get_scale
-from repro.experiments.sweep import render, run_suite, scenario_bundle, scenario_steps
+from repro.experiments.sweep import (
+    render,
+    run_suite,
+    scenario_bundle,
+    scenario_steps,
+    suite_manifest,
+)
 from repro.faults.injection import BitFlipInjector, measure_active_msbs
 from repro.faults.injection_job import run_injection_trials
 from repro.hw.variations import AGING_VT_5, IDEAL, TER_EVAL_CORNER
@@ -145,8 +152,11 @@ class TestGroupedTerJobs:
         assert dense is not mixed
         assert mixed.qnet.qconvs()[-1].weight_bits == 4
         # same trained float parameters, different quantization
-        assert np.array_equal(
-            dense.qnet.qconvs()[0].weight_float, mixed.qnet.qconvs()[0].weight_float
+        for p_dense, p_mixed in zip(dense.model.parameters(), mixed.model.parameters()):
+            assert np.array_equal(p_dense.data, p_mixed.data)
+        assert np.array_equal(dense.qnet.qconvs()[0].weight_q, mixed.qnet.qconvs()[0].weight_q)
+        assert not np.array_equal(
+            dense.qnet.qconvs()[-1].weight_q, mixed.qnet.qconvs()[-1].weight_q
         )
         assert get_bundle("vgg16_cifar10", MICRO, bits_per_layer={"fc": 4}) is mixed
 
@@ -205,6 +215,8 @@ class TestRunSuite:
                 assert 0.0 <= acc <= 1.0
         text = render(result)
         assert "dw1 [g=" in text and "fc" in text
+        peak = suite_manifest(result, engine=default_engine())["run"]["peak_rss_mb"]
+        assert set(peak) == {"parent", "workers"} and peak["parent"] > 0
 
     def test_topk_scenario_reports_its_clean_topk_accuracy(self):
         # The report (and so the rendering and the manifest) labels the
