@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="number of drawn cases (default: $REPRO_FUZZ_ITERS or 200)",
+        help="number of drawn cases (default: 200)",
     )
     fuzz_parser.add_argument(
         "--case",
@@ -359,7 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="stop after N shard results (deterministic mid-flight kill, for tests)",
+        help=(
+            "stop after N shard results (a mid-flight kill, for tests; exact "
+            "only inline: on a pool the running shards finish)"
+        ),
     )
     campaign_parser.add_argument(
         "--no-early-stop",
@@ -413,8 +416,6 @@ def _print_engine_summary(engine) -> None:
 
 def _run_fuzz(args) -> int:
     """``read-repro fuzz``: campaign, single-case replay, or spec replay."""
-    import os
-
     from .engine.fuzz import (
         DEFAULT_CASES,
         FuzzCase,
@@ -441,9 +442,7 @@ def _run_fuzz(args) -> int:
         print("FAIL" if problems else "PASS")
         return 1 if problems else 0
 
-    n_cases = args.cases
-    if n_cases is None:
-        n_cases = int(os.environ.get("REPRO_FUZZ_ITERS", DEFAULT_CASES))
+    n_cases = args.cases or DEFAULT_CASES
     report = fuzz(args.seed, n_cases, backends=backends, log=print)
     if report.ok:
         print(f"fuzz: {n_cases} cases, seed {args.seed}: all conformant")

@@ -2,17 +2,17 @@
 
 :class:`EngineClient` speaks the :mod:`repro.engine.protocol` framing to
 a ``read-repro serve`` daemon over its Unix socket.  The scheduler uses
-it transparently (``$REPRO_ENGINE_SOCKET`` routing in
-:meth:`~repro.engine.scheduler.SimEngine.run_many` /
-:meth:`~repro.engine.scheduler.SimEngine.run_stream`); the CLI's
-``ping`` and the daemon lifecycle tests use it directly.
+it transparently (``$REPRO_ENGINE_SOCKET`` routing of
+:meth:`~repro.engine.scheduler.SimEngine.run_many` and
+:meth:`~repro.engine.scheduler.SimEngine.run_stream`, which both send
+their flat batch through the one :meth:`EngineClient.submit`); the
+CLI's ``ping`` and the daemon lifecycle tests use it directly.
 
 Every failure mode — no socket file, nobody listening, a daemon that
-died mid-conversation, a malformed frame — surfaces as
-:class:`EngineClientError`, whose ``partial`` flag tells the scheduler
-whether any stream result was already delivered (deliveries make a
-silent in-process fallback unsafe: the caller's ``on_result`` hooks
-would replay).
+died mid-conversation, a malformed frame, a rejected submission —
+surfaces as :class:`EngineClientError`, whose ``partial`` flag tells
+the scheduler whether the caller's ``on_result`` hook already consumed
+a result (a silent in-process fallback would then replay it).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class EngineClientError(ReproError):
 
     def __init__(self, message: str, partial: bool = False):
         super().__init__(message)
-        #: True when stream results were already delivered to the caller
+        #: True when the caller's ``on_result`` hook consumed a result
         #: before the failure — the scheduler must not silently rerun.
         self.partial = partial
 
@@ -128,82 +128,53 @@ class EngineClient:
 
     # ------------------------------------------------------------------ #
     def submit(
-        self, jobs: Sequence[EngineJob]
-    ) -> Tuple[List[object], Dict[str, object]]:
-        """Batch execution: results in submission order + counter delta.
-
-        The mirror of :meth:`SimEngine.run_many`: one result per
-        submitted job (a list of per-member results for a
-        :class:`~repro.engine.job.NetworkJob`), decoded through each
-        job's own cache deserializer.
-        """
-        jobs = list(jobs)
-        reply, blobs = self._request(
-            {"verb": "submit", "mode": "batch", "n_jobs": len(jobs)},
-            [encode_jobs(jobs)],
-        )
-        if len(blobs) != len(jobs):
-            raise EngineClientError(
-                f"daemon returned {len(blobs)} result blob(s) for {len(jobs)} job(s)"
-            )
-        results = [decode_result(job, blob) for job, blob in zip(jobs, blobs)]
-        return results, dict(reply.get("stats", {}))
-
-    def submit_stream(
         self,
         jobs: Sequence[EngineJob],
         on_result: Optional[Callable[[int, object], Optional[Iterable[int]]]] = None,
     ) -> Tuple[List[Optional[object]], Dict[str, object]]:
-        """Streamed execution: the mirror of :meth:`SimEngine.run_stream`.
+        """Run a flat batch on the daemon: the mirror of :meth:`SimEngine.run_stream`.
 
-        Result frames arrive in the daemon's completion order (cache
-        hits first); ``on_result`` fires per frame and its returned
-        indices travel back as a cancellation message while the rest of
-        the stream is still in flight.  Cancelled jobs come back None.
+        Returns the results in submission order, decoded through each
+        job's own cache deserializer, and the request's counter delta.
+        Result frames arrive in the daemon's completion order (cache hits
+        first); ``on_result`` fires per frame and its returned indices
+        travel back as a cancellation message while the rest of the
+        batch is still in flight.  Cancelled jobs come back None.
         """
         jobs = list(jobs)
         results: List[Optional[object]] = [None] * len(jobs)
-        delivered = 0
+        consumed = False  # has on_result seen a result?
         with self._connect() as sock:
             try:
-                send_message(
-                    sock,
-                    {"verb": "submit", "mode": "stream", "n_jobs": len(jobs)},
-                    [encode_jobs(jobs)],
-                )
+                send_message(sock, {"verb": "submit"}, [encode_jobs(jobs)])
                 while True:
                     header, blobs = recv_message(sock)
-                    kind = header.get("type")
-                    if kind == "result":
-                        index = int(header["index"])
-                        if not 0 <= index < len(jobs) or len(blobs) != 1:
-                            raise ProtocolError(
-                                f"bad result frame (index {index}, {len(blobs)} blobs)"
-                            )
-                        result = decode_result(jobs[index], blobs[0])
-                        results[index] = result
-                        delivered += 1
-                        if on_result is not None:
-                            requested = on_result(index, result)
-                            if requested:
-                                send_message(
-                                    sock,
-                                    {
-                                        "type": "cancel",
-                                        "indices": [int(j) for j in requested],
-                                    },
-                                )
-                    elif kind == "done":
-                        return results, dict(header.get("stats", {}))
-                    elif kind == "error":
+                    if not header.get("ok", True):
                         raise EngineClientError(
-                            f"engine daemon stream failed: "
+                            f"engine daemon rejected 'submit': "
                             f"{header.get('error', 'unknown error')}",
-                            partial=delivered > 0,
+                            partial=consumed,
                         )
-                    else:
-                        raise ProtocolError(f"unexpected stream frame {kind!r}")
+                    kind = header.get("type")
+                    if kind == "done":
+                        return results, dict(header.get("stats", {}))
+                    if kind != "result":
+                        raise ProtocolError(f"unexpected submit frame {kind!r}")
+                    index = int(header["index"])
+                    if not 0 <= index < len(jobs) or len(blobs) != 1:
+                        raise ProtocolError(
+                            f"bad result frame (index {index}, {len(blobs)} blobs)"
+                        )
+                    results[index] = decode_result(jobs[index], blobs[0])
+                    if on_result is not None:
+                        consumed = True
+                        requested = on_result(index, results[index])
+                        if requested:
+                            send_message(
+                                sock,
+                                {"type": "cancel", "indices": [int(j) for j in requested]},
+                            )
             except (OSError, EOFError, ProtocolError) as exc:
                 raise EngineClientError(
-                    f"engine daemon stream failed: {exc}", partial=delivered > 0
+                    f"engine daemon submit failed: {exc}", partial=consumed
                 ) from None

@@ -28,10 +28,11 @@ self-contained repro command::
     read-repro fuzz --spec 'n_pixels=1,c_eff=3,...' --backend vector
 
 ``tools/fuzz_conformance.py`` runs a bounded campaign in CI (fixed seed,
-``$REPRO_FUZZ_ITERS`` cases) and writes the repro file CI uploads as an
-artifact on failure; ``tests/test_fuzz_conformance.py`` keeps the
-fuzzer itself honest, including a mutation smoke test that registers a
-deliberately broken backend and asserts the fuzzer catches it.
+:data:`DEFAULT_CASES` cases unless ``--cases`` says otherwise) and
+writes the repro file CI uploads as an artifact on failure;
+``tests/test_fuzz_conformance.py`` keeps the fuzzer itself honest,
+including a mutation smoke test that registers a deliberately broken
+backend and asserts the fuzzer catches it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ..hw.variations import PAPER_CORNERS
 from .backends import backend_names, get_backend
 from .job import SimJob
 
-#: Default bounded-campaign size; CI overrides via $REPRO_FUZZ_ITERS.
+#: Default bounded-campaign size (``--cases``); CI runs this many.
 DEFAULT_CASES = 200
 
 

@@ -10,6 +10,12 @@ serializers (:meth:`~repro.engine.job.EngineJob.serialize_result` /
 ``deserialize_result``), so a daemon round trip is byte-identical to an
 in-process run for exactly the same reason a cache hit is.
 
+Version 2 has one ``submit`` verb: the client sends a pickled list of
+flat jobs; the daemon answers one ``result`` message per job index as
+it lands and a final ``done`` message with the request's counters,
+while the client may send ``cancel`` messages back mid-flight.  A
+refused request or a failed run answers ``{"ok": false, "error": ...}``.
+
 Trust model: the transport is a Unix domain socket, so the peer is
 whoever the socket file's filesystem permissions admit — the same trust
 boundary as the result cache directory itself.  That is what licenses
@@ -32,7 +38,7 @@ from .job import EngineJob
 
 #: Bump on any frame-layout or verb-semantics change; client and server
 #: exchange it in `ping` and refuse mismatches loudly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frames above this are rejected as corruption rather than allocated
 #: (a desynchronized peer would otherwise read garbage as a length).

@@ -3,19 +3,21 @@
 :class:`SimEngine` is the single entry point the experiment runners use:
 hand it a batch of :class:`~repro.engine.job.EngineJob`\\ s (layer
 simulations, fault-injection campaigns, or a mix) and it returns one
-result per job, in submission order.  Per job it
+result per job, in submission order.  :meth:`SimEngine.run_many` and
+:meth:`SimEngine.run_stream` share one dispatch loop, which
 
 1. consults the on-disk :class:`~repro.engine.cache.ResultCache` (keyed
    by the job's content hash) and **deduplicates** same-key jobs within
    the batch so shared work is computed once;
-2. dispatches the misses — over a
+2. dispatches the misses as fused work units — over a
    ``concurrent.futures.ProcessPoolExecutor`` of ``jobs`` workers when
    ``jobs > 1``; at ``jobs == 1`` over one worker per usable CPU when
    BLAS is pinned to one thread (:func:`_default_workers`), inline
    otherwise (both TER evaluation and injection trials are
    embarrassingly parallel across jobs);
 3. stores each fresh result back into the cache as it lands, so a
-   failing job loses none of its batch's finished work.
+   failing job loses none of its batch's finished work, and hands it to
+   ``run_stream``'s callback, which may cancel work not yet started.
 
 A process-wide *default engine* carries the CLI's ``--backend`` /
 ``--jobs`` / ``--no-cache`` choices (or their ``REPRO_BACKEND`` /
@@ -23,12 +25,11 @@ A process-wide *default engine* carries the CLI's ``--backend`` /
 runner without threading an argument through each ``run()`` signature.
 
 When ``$REPRO_ENGINE_SOCKET`` names a running ``read-repro serve``
-daemon, :meth:`SimEngine.run_many` and :meth:`SimEngine.run_stream`
-transparently route their batches through it (warm memos, hot process
-pool, cross-client coalescing) and fall back to in-process execution —
-with a :class:`RuntimeWarning` — when nothing answers.  Results are
-byte-identical either way: the daemon executes the very same jobs
-through the very same cache serializers.
+daemon, both entry points send their flat batch through it (warm memos,
+hot process pool, cross-client coalescing) and fall back to in-process
+execution — with a :class:`RuntimeWarning` — when nothing answers.
+Results are byte-identical either way: the daemon executes the very
+same jobs through the very same cache serializers.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -205,7 +207,8 @@ class EngineMetrics:
     misses: int = 0
     deduped: int = 0
     #: Jobs cancelled before they ever executed (:meth:`SimEngine.run_stream`
-    #: early stopping); they are not hits, misses or dedups.
+    #: early stopping), duplicates included; they are not hits, misses or
+    #: dedups.
     cancelled: int = 0
     #: Jobs that rode another client's identical in-flight computation
     #: (serve mode only; always 0 for a purely in-process engine).
@@ -223,7 +226,7 @@ class EngineMetrics:
     trials_deduped: int = 0
     #: Work units the misses ran as, on the pool or inline: a stacked
     #: :class:`NetworkJob`, a fused injection unit or a lone job each
-    #: count once (:func:`_fused_units`).
+    #: count once (:func:`_fused_units`); cancelled units do not count.
     units: int = 0
 
     @property
@@ -292,8 +295,9 @@ class SimEngine:
         Worker processes for cache-missing work; higher values fan out
         over a process pool.  ``1`` (default) runs inline, or — in a
         process whose BLAS is pinned to one thread, as under ``python -m
-        repro``, and without ``keep_pool`` — spreads :meth:`run_many`
-        batches over one worker per usable CPU (:func:`_default_workers`).
+        repro``, and without ``keep_pool`` — spreads every batch,
+        :meth:`run_many` and :meth:`run_stream` alike, over one worker
+        per usable CPU (:func:`_default_workers`).
     use_cache:
         Consult/populate the on-disk result cache.
     cache_dir:
@@ -324,7 +328,7 @@ class SimEngine:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.backend_name = backend
         self.jobs = jobs
-        #: Pool size for :meth:`run_many` (1: inline).  A daemon's hot
+        #: Most workers a batch runs on (1: inline).  A daemon's hot
         #: pool (``keep_pool``) keeps ``jobs`` workers.
         self.workers = jobs if jobs > 1 or keep_pool else _default_workers()
         self.keep_pool = keep_pool
@@ -350,8 +354,8 @@ class SimEngine:
             self.cache = ResultCache(cache_dir)
         self.stats = EngineStats()
         #: Backends that actually simulated a cache-missing :class:`SimJob`
-        #: for this engine — a daemon reports its own backend through
-        #: :meth:`_merge_remote` — so summaries report what really ran,
+        #: for this engine — a daemon reports its own backend with each
+        #: response — so summaries report what really ran,
         #: not just what was configured.
         self.used_backends: set = set()
 
@@ -432,45 +436,13 @@ class SimEngine:
                 f"{ENGINE_SOCKET_ENV} is set but the engine daemon did not answer "
                 f"({exc}); falling back to in-process execution",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,  # after a failed probe: the caller of run_many/run_stream
             )
 
     def _merge_counters(self, delta: Mapping[str, int]) -> None:
         """Fold drained runtime counters (worker or inline) into stats."""
         if delta:
             self.stats.merge(delta)
-
-    def _merge_remote(self, delta: Mapping[str, object], elapsed: float) -> None:
-        """Fold one daemon response's counter delta into lifetime stats."""
-        self.stats.merge(delta)
-        self.stats.requests += 1
-        self.stats.latency_seconds += elapsed
-        backend = delta.get("backend")
-        if backend and delta.get("misses"):
-            self.used_backends.add(str(backend))
-
-    def _run_many_remote(
-        self, client: EngineClient, submitted: List[EngineJob]
-    ) -> List[object]:
-        for job in submitted:
-            job.check()  # submit-time diagnostics stay in this process
-        start = time.perf_counter()
-        results, delta = client.submit(submitted)
-        self._merge_remote(delta, time.perf_counter() - start)
-        return results
-
-    def _run_stream_remote(
-        self,
-        client: EngineClient,
-        jobs: List[EngineJob],
-        on_result: Optional[Callable[[int, object], Optional[Iterable[int]]]],
-    ) -> List[Optional[object]]:
-        for job in jobs:
-            job.check()
-        start = time.perf_counter()
-        results, delta = client.submit_stream(jobs, on_result)
-        self._merge_remote(delta, time.perf_counter() - start)
-        return results
 
     # ------------------------------------------------------------------ #
     def run(self, job: EngineJob):
@@ -480,121 +452,198 @@ class SimEngine:
     def run_many(self, jobs: Sequence[EngineJob]) -> List[object]:
         """Execute a batch of jobs; results come back in submission order.
 
-        Cache hits are returned without computing; within the batch,
-        same-key jobs are deduplicated (computed once, shared); the
-        remaining misses run on the configured backend, in parallel when
-        ``self.workers > 1``.  Deduplication requires the cache to be
-        enabled — with ``use_cache=False`` no keys are derived and every
-        job is executed as submitted.
-
-        A :class:`~repro.engine.job.NetworkJob` is expanded into its
-        member :class:`~repro.engine.job.SimJob`\\ s *before* any of the
-        above — hits, misses, dedup, stats and cache stores all happen
-        per member key, and the stacked result list is reassembled at
-        the end.  A warm per-layer cache therefore fully satisfies a
-        stacked submission (0 simulated), and a stacked run warms the
-        per-layer cache for later solo submissions.  Conversely, the
-        cache-missing *simulation* jobs of any batch — expanded or
-        submitted plain — are fused back into stacked
+        :meth:`run_stream` without a callback, after each
+        :class:`~repro.engine.job.NetworkJob` is expanded into its member
+        :class:`~repro.engine.job.SimJob`\\ s: hits, misses, dedup, stats
+        and cache stores all happen per member key (so does routing: the
+        daemon only ever sees flat jobs), and a stacked job's result is
+        the list of its members' results.  A warm per-layer cache
+        therefore fully satisfies a stacked submission (0 simulated), and
+        a stacked run warms the per-layer cache for later solo
+        submissions.  Conversely, the cache-missing *simulation* jobs of
+        any batch are fused back into stacked
         :meth:`~repro.engine.backends.SimulationBackend.run_network`
         calls when the configured backend overrides it (one unit per
         worker on the pool, one inline), so whole-network batching does
         not depend on how the caller grouped its submissions.
+        """
+        spans: List[Tuple[int, int, bool]] = []  # (start, count, stacked?)
+        flat: List[EngineJob] = []
+        for job in jobs:
+            stacked = isinstance(job, NetworkJob)
+            members = job.jobs if stacked else (job,)
+            spans.append((len(flat), len(members), stacked))
+            flat.extend(members)
+        results = self._route(flat, None)
+        return [
+            list(results[start : start + count]) if stacked else results[start]
+            for start, count, stacked in spans
+        ]
+
+    def run_stream(
+        self,
+        jobs: Sequence[EngineJob],
+        on_result: Optional[Callable[[int, object], Optional[Iterable[int]]]] = None,
+    ) -> List[Optional[object]]:
+        """Execute a batch, streaming each result as it lands.
+
+        Per job, as in :meth:`run_many`: cache hits are returned without
+        computing, same-key jobs are computed once (with the cache on;
+        with ``use_cache=False`` no keys are derived and every job runs
+        as submitted), and the misses run as fused work units, in
+        parallel when ``self.workers > 1``.  Cache hits are delivered
+        first, in submission order — they are free, so they are never
+        cancelled, and give a stopping rule its head start on resume.
+
+        ``on_result(index, result)`` is what streaming adds: it is
+        invoked once per delivered job, a duplicate included, and may
+        return job indices to **cancel** — the campaign runner's
+        cooperative early-stopping hook.  Cancellation only ever prevents
+        work that has not started, and a work unit is cancelled only once
+        every job it would deliver (its members and their duplicates) is:
+        inline, the unit is skipped; on the pool, its future is withdrawn
+        if no worker has picked it up.  A unit already running completes,
+        and its results are still delivered and cached.  The returned
+        list holds ``None`` at every cancelled index.
+
+        Pool completion order is nondeterministic; callers needing a
+        deterministic outcome must derive it from result *content* (see
+        the campaign runner's contiguous-prefix rule), not arrival order.
 
         With ``$REPRO_ENGINE_SOCKET`` set (and a daemon answering), the
-        whole batch is executed by the daemon instead — same jobs, same
-        serializers, bit-identical results — and the response's
-        hit/miss/coalesce counters fold into this engine's stats.
+        daemon takes the batch — same jobs, same serializers,
+        bit-identical results: result frames arrive as they land,
+        ``on_result`` fires per frame, cancellation requests travel back
+        mid-flight, and the response's counters fold into this engine's
+        stats.
         """
-        submitted = list(jobs)
+        return self._route(list(jobs), on_result)
+
+    def _route(
+        self,
+        jobs: List[EngineJob],
+        on_result: Optional[Callable[[int, object], Optional[Iterable[int]]]],
+    ) -> List[Optional[object]]:
+        """Run a flat batch on the ``$REPRO_ENGINE_SOCKET`` daemon, or here.
+
+        Submit-time diagnostics run first, in this process, for every
+        job: strict jobs raise up front, non-strict ones warn even when
+        the result is a cache hit or computes in a worker process or the
+        daemon (whose warnings never reach the caller).  A daemon error
+        falls back to in-process execution, unless ``on_result`` has
+        already consumed a result: a silent rerun would replay callbacks
+        the caller acted on, so the error propagates.
+        """
+        for job in jobs:
+            job.check()
         client = self._remote_client()
         if client is not None:
             from .client import EngineClientError
 
+            start = time.perf_counter()
             try:
-                return self._run_many_remote(client, submitted)
+                results, delta = client.submit(jobs, on_result)
             except EngineClientError as exc:
+                if exc.partial:
+                    raise
                 self._remote_fallback(exc)
-        spans: List[Tuple[int, int, bool]] = []  # (start, count, stacked?)
-        flat: List[EngineJob] = []
-        for job in submitted:
-            if isinstance(job, NetworkJob):
-                spans.append((len(flat), len(job.jobs), True))
-                flat.extend(job.jobs)
             else:
-                spans.append((len(flat), 1, False))
-                flat.append(job)
-        results_flat = self._run_flat(flat)
-        if all(not stacked for _, _, stacked in spans):
-            return results_flat
-        return [
-            list(results_flat[start : start + count]) if stacked
-            else results_flat[start]
-            for start, count, stacked in spans
-        ]
+                self.stats.merge(delta)
+                self.stats.requests += 1
+                self.stats.latency_seconds += time.perf_counter() - start
+                if delta.get("backend") and delta.get("misses"):
+                    self.used_backends.add(str(delta["backend"]))
+                return results
+        return self._execute(jobs, on_result)
 
-    def _run_flat(self, jobs: List[EngineJob]) -> List[object]:
-        """:meth:`run_many` after NetworkJob expansion (no stacked kinds)."""
+    def _execute(
+        self,
+        jobs: List[EngineJob],
+        on_result: Optional[Callable[[int, object], Optional[Iterable[int]]]],
+    ) -> List[Optional[object]]:
+        """The one in-process dispatch loop (see :meth:`run_stream`) for
+        jobs :meth:`_route` has checked."""
         results: List[Optional[object]] = [None] * len(jobs)
-        pending: List[int] = []
         keys: List[Optional[str]] = [None] * len(jobs)
-        first_index_for_key: Dict[str, int] = {}
-        duplicate_of: Dict[int, int] = {}
-
+        source_of: Dict[str, int] = {}
+        duplicates: Dict[int, List[int]] = {}  # source index -> same-key indices
+        hits: List[Tuple[int, object]] = []
+        pending: List[int] = []
         for i, job in enumerate(jobs):
-            # Run submit-time diagnostics in the submitting process for
-            # every job: strict jobs raise up front, non-strict ones warn
-            # even when the result is a cache hit or computes in a worker
-            # process (whose warnings never reach the caller).
-            job.check()
             if self.cache is not None:
                 keys[i] = job.key()
-                if keys[i] in first_index_for_key:
-                    duplicate_of[i] = first_index_for_key[keys[i]]
+                if keys[i] in source_of:
+                    duplicates.setdefault(source_of[keys[i]], []).append(i)
                     continue
+                source_of[keys[i]] = i
                 cached = self.cache.load(keys[i], job)
                 if cached is not None:
-                    results[i] = cached
-                    first_index_for_key[keys[i]] = i
                     self.stats.hits += 1
+                    hits.append((i, cached))
                     continue
-                first_index_for_key[keys[i]] = i
             pending.append(i)
 
-        def finish(i: int, result: object) -> None:
-            # Stored as it lands: a job that fails later in the batch
-            # costs no finished work.
-            results[i] = result
-            self.stats.misses += 1
-            if self.cache is not None:
-                assert keys[i] is not None
-                self.cache.store(keys[i], jobs[i], result)
+        requested: Set[int] = set()  # indices the callback asked to cancel
 
-        # check() above already diagnosed every job, so the planner
-        # inside the backend does not repeat it (plans_diagnosed, here
-        # and in _execute_job).
-        factory = backend_factory(self.backend_name)
-        workers = min(self.workers, len(pending))
-        units = _fused_units(jobs, pending, max(workers, 1), factory)
-        self.stats.units += len(units)
+        def deliver(i: int, result: object) -> None:
+            for j in (i, *duplicates.get(i, ())):
+                results[j] = result
+                if on_result is not None:
+                    requested.update(on_result(j, result) or ())
+            self.stats.deduped += len(duplicates.get(i, ()))
 
-        def finish_unit(idxs: List[int], value: object) -> None:
+        def cancellable(idxs: List[int]) -> bool:
+            return all(
+                j in requested for i in idxs for j in (i, *duplicates.get(i, ()))
+            )
+
+        def cancel(idxs: List[int]) -> None:
+            self.stats.cancelled += sum(1 + len(duplicates.get(i, ())) for i in idxs)
+
+        def finish(idxs: List[int], value: object) -> None:
+            self.stats.units += 1
             for i, result in zip(idxs, [value] if len(idxs) == 1 else value):
-                finish(i, result)
+                # Stored as it lands: a job that fails later in the batch
+                # costs no finished work.
+                self.stats.misses += 1
+                if self.cache is not None:
+                    self.cache.store(keys[i], jobs[i], result)
+                if jobs[i].kind == "sim":
+                    self.used_backends.add(self.backend_name)
+                deliver(i, result)
 
+        for i, cached in hits:
+            deliver(i, cached)
+        # _route already diagnosed every job, so the planner inside the
+        # backend does not repeat it (plans_diagnosed, here and in
+        # _execute_job).
+        factory = backend_factory(self.backend_name)
+        units = _fused_units(
+            jobs, pending, max(1, min(self.workers, len(pending))), factory
+        )
+        workers = min(self.workers, len(units))
         if workers > 1:
             from concurrent.futures import as_completed
 
             with self._acquire_pool(workers) as pool:
-                futures = {
-                    pool.submit(_execute_job, factory, unit): idxs
-                    for idxs, unit in units
-                }
+                futures = {}
+                for idxs, unit in units:
+                    if cancellable(idxs):  # by a cache hit's callback
+                        cancel(idxs)
+                    else:
+                        futures[pool.submit(_execute_job, factory, unit)] = idxs
                 try:
                     for future in as_completed(futures):
+                        if future.cancelled():
+                            cancel(futures[future])
+                            continue
                         value, counters = future.result()
                         self._merge_counters(counters)
-                        finish_unit(futures[future], value)
+                        finish(futures[future], value)
+                        if requested:
+                            for other, idxs in futures.items():
+                                if not other.done() and cancellable(idxs):
+                                    other.cancel()
                 except BaseException:
                     # Withdraw the units no worker has started, so the
                     # error surfaces without running the rest of the batch.
@@ -610,148 +659,12 @@ class SimEngine:
                 _drained_counters()  # not ours: accumulated outside the engine
                 try:
                     for idxs, unit in units:
-                        finish_unit(idxs, unit.execute(factory))
+                        if cancellable(idxs):
+                            cancel(idxs)
+                        else:
+                            finish(idxs, unit.execute(factory))
                 finally:
                     self._merge_counters(_drained_counters())
-
-        if any(jobs[i].kind == "sim" for i in pending):
-            self.used_backends.add(self.backend_name)
-        for i, source in duplicate_of.items():
-            results[i] = results[source]
-            self.stats.deduped += 1
-        return results  # type: ignore[return-value]
-
-    def run_stream(
-        self,
-        jobs: Sequence[EngineJob],
-        on_result: Optional[Callable[[int, object], Optional[Iterable[int]]]] = None,
-    ) -> List[Optional[object]]:
-        """Execute a batch, streaming each result as it lands.
-
-        The campaign runner's entry point: ``on_result(index, result)``
-        is invoked once per completed job and may return job indices to
-        **cancel** — the cooperative early-stopping hook.  Cancellation
-        is best-effort and only ever prevents work that has not started:
-        inline, upcoming jobs are skipped; on the pool, not-yet-started
-        futures are withdrawn (a job already running completes, and its
-        result is still delivered and cached — early stopping saves
-        work, it never discards finished work).
-
-        Differences from :meth:`run_many`:
-
-        * Cache hits are delivered first, in submission order — they are
-          free, so they are never cancelled, and give a stopping rule
-          its head start on resume.
-        * No within-batch deduplication: stream callers (campaign
-          shards) construct distinct-key jobs by design.
-        * The returned list holds ``None`` at every cancelled index.
-
-        Pool completion order is nondeterministic; callers needing a
-        deterministic outcome must derive it from result *content* (see
-        the campaign runner's contiguous-prefix rule), not arrival order.
-
-        Like :meth:`run_many`, a configured ``$REPRO_ENGINE_SOCKET``
-        daemon takes the stream: results arrive frame-by-frame over the
-        socket, ``on_result`` fires per frame, and cancellation requests
-        travel back mid-flight.  A connection error *before* any result
-        was delivered falls back to in-process execution; once delivery
-        has started the error propagates (a silent rerun would replay
-        ``on_result`` callbacks the caller already consumed).
-        """
-        jobs = list(jobs)
-        client = self._remote_client()
-        if client is not None:
-            from .client import EngineClientError
-
-            try:
-                return self._run_stream_remote(client, jobs, on_result)
-            except EngineClientError as exc:
-                if exc.partial:
-                    raise
-                self._remote_fallback(exc)
-        results: List[Optional[object]] = [None] * len(jobs)
-        done = [False] * len(jobs)
-        cancel_requested: set = set()
-
-        def deliver(i: int, result: object) -> None:
-            results[i] = result
-            done[i] = True
-            if on_result is not None:
-                requested = on_result(i, result)
-                if requested:
-                    for j in requested:
-                        if 0 <= j < len(jobs) and not done[j]:
-                            cancel_requested.add(j)
-
-        keys: List[Optional[str]] = [None] * len(jobs)
-        pending: List[int] = []
-        for i, job in enumerate(jobs):
-            job.check()
-            if self.cache is not None:
-                keys[i] = job.key()
-        for i, job in enumerate(jobs):
-            if keys[i] is not None:
-                cached = self.cache.load(keys[i], job)
-                if cached is not None:
-                    self.stats.hits += 1
-                    deliver(i, cached)
-                    continue
-            pending.append(i)
-
-        factory = backend_factory(self.backend_name)
-        executed: List[int] = []
-
-        def record(i: int, result: object) -> None:
-            executed.append(i)
-            self.stats.misses += 1
-            if self.cache is not None:
-                assert keys[i] is not None
-                self.cache.store(keys[i], jobs[i], result)
-            deliver(i, result)
-
-        if len(pending) > 1 and self.jobs > 1:
-            workers = min(self.jobs, len(pending))
-            from concurrent.futures import as_completed
-
-            with self._acquire_pool(workers) as pool:
-                futures = {}
-                for i in pending:
-                    if i in cancel_requested:  # cancelled by a hit delivery
-                        self.stats.cancelled += 1
-                        done[i] = True
-                        continue
-                    futures[pool.submit(_execute_job, factory, jobs[i])] = i
-                try:
-                    for future in as_completed(list(futures)):
-                        i = futures[future]
-                        if future.cancelled():
-                            self.stats.cancelled += 1
-                            done[i] = True
-                            continue
-                        value, counters = future.result()
-                        self._merge_counters(counters)
-                        record(i, value)
-                        if cancel_requested:
-                            for fut, j in futures.items():
-                                if j in cancel_requested and not fut.done():
-                                    fut.cancel()
-                except BaseException:
-                    for future in futures:  # as in _run_flat
-                        future.cancel()
-                    raise
-        else:
-            with plans_diagnosed():
-                _drained_counters()  # not ours: accumulated outside the engine
-                for i in pending:
-                    if i in cancel_requested:
-                        self.stats.cancelled += 1
-                        done[i] = True
-                        continue
-                    record(i, jobs[i].execute(factory))
-                self._merge_counters(_drained_counters())
-
-        if any(jobs[i].kind == "sim" for i in executed):
-            self.used_backends.add(self.backend_name)
         return results
 
 

@@ -7,17 +7,21 @@ job batches to any number of concurrent clients over a Unix domain
 socket (see :mod:`repro.engine.protocol` for the framing and
 :mod:`repro.engine.client` for the caller side).
 
+One ``submit`` handler serves every batch, ``run_many``'s and
+``run_stream``'s alike: result frames stream out as they land, and a
+client's cancel messages come back in mid-flight.  It takes flat jobs
+only — clients expand a ``NetworkJob`` into its members before they
+send it, and one arriving on the socket is refused.
+
 **Coalescing** is the daemon's reason to exist beyond warmth: identical
 jobs submitted by different clients while one is already in flight
 attach to that computation instead of re-simulating — one simulation, N
-responses.  The granularity is the *flat* job key (``NetworkJob``\\ s
-are expanded first, mirroring ``run_many``'s cache fan-out), so two
-clients coalesce even when one stacked its submission and the other did
-not.  The in-flight registry maps ``key -> _Inflight`` (an event plus
-the eventual result); a claimant that loses the race waits on the
-event.  If the owning computation is cancelled or fails, waiters
-recompute for themselves — coalescing is an optimization, never a new
-failure mode.
+responses.  The granularity is the flat job key, so two clients
+coalesce even when one stacked its submission and the other did not.
+The in-flight registry maps ``key -> _Inflight`` (an event plus the
+eventual result); a claimant that loses the race waits on the event.
+If the owning computation is cancelled or fails, waiters recompute for
+themselves — coalescing is an optimization, never a new failure mode.
 
 **Execution is serialized** through one internal lock: concurrent
 requests interleave at the claim/wait layer (which is where coalescing
@@ -217,14 +221,11 @@ class EngineServer:
             report = cache.gc(max_bytes=int(raw) if raw is not None else None)
             send_message(conn, {"ok": True, "report": report.as_dict()})
         elif verb == "submit":
-            jobs = decode_jobs(blobs[0]) if blobs else []
-            if header.get("mode") == "stream":
-                # A stream owns its connection: its cancel-reader thread
-                # keeps recv'ing until the peer closes, so no further
-                # request may share this socket.
-                self._handle_stream(conn, jobs)
-                return False
-            self._handle_batch(conn, jobs)
+            # A submission owns its connection: its cancel-reader thread
+            # keeps recv'ing until the peer closes, so no further request
+            # may share this socket.
+            self._handle_submit(conn, decode_jobs(blobs[0]) if blobs else [])
+            return False
         else:
             raise ProtocolError(f"unknown verb {verb!r}")
         return True
@@ -299,7 +300,7 @@ class EngineServer:
             )
             inflight.event.set()
 
-    def _await_or_recompute(self, key: str, inflight: _Inflight, job: EngineJob):
+    def _await_or_recompute(self, inflight: _Inflight, job: EngineJob):
         """Collect a waited result; recompute if the owner never produced it.
 
         The owner may have been cancelled (its client's early stopping)
@@ -323,95 +324,17 @@ class EngineServer:
         delta["backend"] = self.engine.backend_name
         return delta
 
-    def _run_counted(self, fn):
-        """Run one engine call under the run lock, capturing the runtime
-        work-avoidance counters (deduped trials) it accumulated — the
-        per-request delta the job-outcome counters in
-        ``_handle_batch``/``_handle_stream`` cannot see, because the
-        engine folds them straight into its lifetime stats."""
-        with self._run_lock:
-            before = self.engine.stats.snapshot()
-            value = fn()
-            diff = self.engine.stats.since(before)
-        return value, {
-            "trials_pruned": diff.trials_pruned,
-            "trials_deduped": diff.trials_deduped,
-        }
-
     # ------------------------------------------------------------------ #
-    # submit: batch mode
+    # submit
     # ------------------------------------------------------------------ #
-    def _handle_batch(self, conn: socket.socket, submitted: List[EngineJob]) -> None:
-        start = time.perf_counter()
-        # NetworkJob fan-out mirrors run_many: coalescing and accounting
-        # happen per member key, so stacked and flat submissions of the
-        # same work coalesce with each other.
-        spans: List[Tuple[int, int, bool]] = []
-        flat: List[EngineJob] = []
-        for job in submitted:
-            if isinstance(job, NetworkJob):
-                spans.append((len(flat), len(job.jobs), True))
-                flat.extend(job.jobs)
-            else:
-                spans.append((len(flat), 1, False))
-                flat.append(job)
-        for job in flat:
-            job.check()
-        keys = [job.key() for job in flat]
-        unique: "OrderedDict[str, EngineJob]" = OrderedDict()
-        occurrences: Dict[str, int] = {}
-        for key, job in zip(keys, flat):
-            unique.setdefault(key, job)
-            occurrences[key] = occurrences.get(key, 0) + 1
-
-        owned, waited = self._claim(unique)
-        if self._before_execute is not None:
-            self._before_execute(len(flat))
-        cache = self.engine.cache
-        probed_hits = sum(
-            1 for key in owned if cache is not None and cache.has(key)
-        )
-        owned_jobs = [unique[key] for key in owned]
-        try:
-            owned_results, runtime_delta = self._run_counted(
-                lambda: self.engine.run_many(owned_jobs)
+    def _handle_submit(self, conn: socket.socket, jobs: List[EngineJob]) -> None:
+        if any(isinstance(job, NetworkJob) for job in jobs):
+            # The socket is the trust boundary: a stacked job would be
+            # cached under its stacked key, which no flat job ever reads.
+            raise ProtocolError(
+                "submit takes flat jobs: expand a NetworkJob into its members"
             )
-        except BaseException as exc:
-            self._resolve(owned, error=exc)
-            raise
-        by_key = dict(zip(owned, owned_results))
-        self._resolve(owned, results=by_key)
-        for key, inflight in waited.items():
-            by_key[key] = self._await_or_recompute(key, inflight, unique[key])
-
-        flat_results = [by_key[key] for key in keys]
-        results: List[object] = [
-            list(flat_results[s : s + n]) if stacked else flat_results[s]
-            for s, n, stacked in spans
-        ]
-        blobs = [
-            encode_result(job, result) for job, result in zip(submitted, results)
-        ]
-        coalesced = sum(occurrences[key] for key in waited)
-        delta = self._record(
-            {
-                "hits": probed_hits,
-                "misses": len(owned) - probed_hits,
-                "deduped": sum(occurrences[key] - 1 for key in owned),
-                "coalesced": coalesced,
-                **runtime_delta,
-            },
-            time.perf_counter() - start,
-        )
-        send_message(conn, {"ok": True, "stats": delta}, blobs)
-
-    # ------------------------------------------------------------------ #
-    # submit: stream mode
-    # ------------------------------------------------------------------ #
-    def _handle_stream(self, conn: socket.socket, jobs: List[EngineJob]) -> None:
         start = time.perf_counter()
-        for job in jobs:
-            job.check()
         keys = [job.key() for job in jobs]
         key_indices: Dict[str, List[int]] = {}
         unique: "OrderedDict[str, EngineJob]" = OrderedDict()
@@ -423,7 +346,6 @@ class EngineServer:
             self._before_execute(len(jobs))
 
         send_lock = threading.Lock()
-        results: List[Optional[object]] = [None] * len(jobs)
         delivered: Set[str] = set()
 
         def send(header: Dict[str, object], blobs: Sequence[bytes] = ()) -> None:
@@ -433,15 +355,13 @@ class EngineServer:
         def deliver_key(key: str, result: object) -> None:
             delivered.add(key)
             for i in key_indices[key]:
-                results[i] = result
                 send({"type": "result", "index": i}, [encode_result(jobs[i], result)])
 
-        # Cancellation requests arrive on the same socket while results
-        # stream out; a reader thread collects the client's original
-        # indices and the on_result hook below converts the ones we own
-        # into engine-local cancellations.
+        # Cancel messages arrive on the same socket while results stream
+        # out; a reader thread collects the client's indices, and the
+        # on_result hook below turns them into engine cancellations.
         cancel_lock = threading.Lock()
-        cancel_original: Set[int] = set()
+        requested: Set[int] = set()
 
         def read_cancels() -> None:
             while True:
@@ -451,32 +371,31 @@ class EngineServer:
                     return
                 if header.get("type") == "cancel":
                     with cancel_lock:
-                        for j in header.get("indices", ()):
-                            cancel_original.add(int(j))
+                        requested.update(int(j) for j in header.get("indices", ()))
 
-        reader = threading.Thread(target=read_cancels, daemon=True)
-        reader.start()
+        threading.Thread(target=read_cancels, daemon=True).start()
 
-        # Waiters for keys some other request is computing: each sends
-        # its frames the moment the owning computation publishes.
-        def waiter(key: str) -> None:
-            result = self._await_or_recompute(key, waited[key], unique[key])
-            try:
-                deliver_key(key, result)
-            except OSError:
-                pass  # client went away; the result is cached regardless
+        # One thread waits, in claim order, for the keys other requests
+        # are computing and sends each key's frames once it is published.
+        # A recompute that fails fails this request, as our own run would.
+        waiter_errors: List[BaseException] = []
 
-        waiter_threads = [
-            threading.Thread(target=waiter, args=(key,), daemon=True)
-            for key in waited
-        ]
-        for thread in waiter_threads:
-            thread.start()
+        def wait_for_others() -> None:
+            for key, inflight in waited.items():
+                try:
+                    result = self._await_or_recompute(inflight, unique[key])
+                except BaseException as exc:  # noqa: BLE001 — reported below
+                    waiter_errors.append(exc)
+                    return
+                try:
+                    deliver_key(key, result)
+                except OSError:
+                    return  # client went away; the results are cached regardless
 
-        cache = self.engine.cache
-        probed_hits = sum(1 for key in owned if cache is not None and cache.has(key))
+        waiter = threading.Thread(target=wait_for_others, daemon=True)
+        waiter.start()
+
         owned_keys = list(owned)
-        owned_jobs = [unique[key] for key in owned_keys]
         local_index = {key: li for li, key in enumerate(owned_keys)}
 
         def on_result(li: int, result: object) -> List[int]:
@@ -484,52 +403,54 @@ class EngineServer:
             self._resolve({key: owned[key]}, results={key: result})
             deliver_key(key, result)
             with cancel_lock:
-                requested = list(cancel_original)
-                cancel_original.clear()
-            cancels: List[int] = []
-            for j in requested:
-                if 0 <= j < len(jobs):
-                    jkey = keys[j]
-                    if jkey in local_index and jkey not in delivered:
-                        cancels.append(local_index[jkey])
-            return cancels
+                asked = set(requested)
+            # An owned key is cancelled once the client has asked for
+            # every index that carries it.
+            return [
+                local_index[k]
+                for k in {keys[j] for j in asked if 0 <= j < len(jobs)}
+                if k in local_index and asked.issuperset(key_indices[k])
+            ]
 
         error: Optional[BaseException] = None
-        runtime_delta: Dict[str, int] = {}
-        try:
-            _, runtime_delta = self._run_counted(
-                lambda: self.engine.run_stream(owned_jobs, on_result)
-            )
-        except BaseException as exc:  # noqa: BLE001 — publish, then report
-            error = exc
+        with self._run_lock:
+            before = self.engine.stats.snapshot()
+            try:
+                self.engine.run_stream([unique[key] for key in owned_keys], on_result)
+            except BaseException as exc:  # noqa: BLE001 — publish, then report
+                error = exc
+            ran = self.engine.stats.since(before)
         # Anything we still own produced no result: cancelled (or the
         # run died).  Publish so attached waiters recompute for
         # themselves instead of blocking forever.
-        leftovers = {
-            key: owned[key] for key in owned_keys if key not in delivered
-        }
-        self._resolve(leftovers, error=error, cancelled=error is None)
-        for thread in waiter_threads:
-            thread.join()
+        undelivered = [key for key in owned_keys if key not in delivered]
+        self._resolve(
+            {key: owned[key] for key in undelivered},
+            error=error,
+            cancelled=error is None,
+        )
+        waiter.join()
+        if error is None and waiter_errors:
+            error = waiter_errors[0]
         if error is not None:
-            send({"type": "error", "error": str(error)})
+            send({"ok": False, "error": str(error)})
             return
-
-        cancelled_indices = [i for i, r in enumerate(results) if r is None]
-        cancelled_keys = {keys[i] for i in cancelled_indices}
         delta = self._record(
             {
-                "hits": probed_hits,
-                "misses": len(owned) - probed_hits - len(cancelled_keys),
-                "cancelled": len(cancelled_indices),
+                "hits": ran.hits,
+                "misses": ran.misses,
+                "deduped": sum(
+                    len(key_indices[key]) - 1 for key in owned_keys if key in delivered
+                ),
+                "cancelled": sum(len(key_indices[key]) for key in undelivered),
                 "coalesced": sum(len(key_indices[key]) for key in waited),
-                **runtime_delta,
+                "trials_pruned": ran.trials_pruned,
+                "trials_deduped": ran.trials_deduped,
+                "units": ran.units,
             },
             time.perf_counter() - start,
         )
-        send(
-            {"type": "done", "stats": delta, "cancelled": cancelled_indices}
-        )
+        send({"type": "done", "stats": delta})
 
 
 def serve(

@@ -194,9 +194,10 @@ def run_campaign(
         way (resume *is* the cache).  Recorded in the volatile ``run``
         block.
     max_shards:
-        Stop submitting after this many shard results (a deterministic
-        mid-flight kill, used by the resume property tests and the CI
-        kill/resume job); the manifest is then marked incomplete.
+        Stop after this many shard results (a mid-flight kill, used by
+        the resume property tests); the manifest is then marked
+        incomplete.  The cut is deterministic only on an inline engine:
+        on a pool the shards already running finish and count.
     early_stop:
         Disable to run every cell to its full budget (the soundness
         suite compares decisions against this).

@@ -54,7 +54,10 @@ class Module:
 
     training: bool = True
 
-    #: Attributes in which a module keeps what its backward reads.
+    #: Attributes in which a module keeps what its backward reads.  A
+    #: forward fills them only in training mode; in eval mode it clears
+    #: them, so an inference pass holds nothing and a backward after it
+    #: raises.
     _BACKWARD_STATE = ("_cache", "_mask", "_x")
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
@@ -180,7 +183,7 @@ class Conv2d(Module):
         bias = self.bias.data if self.bias is not None else None
         if self.groups == 1:
             out, x_cols = F.conv2d_forward(x, self.weight.data, bias, self.stride, self.padding)
-            self._cache = ([x_cols], x.shape)
+            self._cache = ([x_cols], x.shape) if self.training else None
             return out
         outs, caches = [], []
         for in_sl, out_sl in self._group_slices():
@@ -193,7 +196,7 @@ class Conv2d(Module):
             )
             outs.append(out_g)
             caches.append(cols_g)
-        self._cache = (caches, x.shape)
+        self._cache = (caches, x.shape) if self.training else None
         return np.concatenate(outs, axis=1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -249,7 +252,7 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ShapeError(f"Linear expects (batch, features), got {x.shape}")
-        self._x = x
+        self._x = x if self.training else None
         return x @ self.weight.data + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -267,7 +270,8 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, self._mask = F.relu_forward(x)
+        out, mask = F.relu_forward(x)
+        self._mask = mask if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -290,7 +294,7 @@ class BatchNorm2d(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, self._cache = F.batchnorm_forward(
+        out, cache = F.batchnorm_forward(
             x,
             self.gamma.data,
             self.beta.data,
@@ -300,6 +304,7 @@ class BatchNorm2d(Module):
             self.eps,
             self.training,
         )
+        self._cache = cache if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -321,7 +326,7 @@ class MaxPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, idx = F.maxpool2d_forward(x, self.size, self.stride)
-        self._cache = (idx, x.shape)
+        self._cache = (idx, x.shape) if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -410,7 +415,7 @@ class TokenLinear(Linear):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"TokenLinear expects (batch, tokens, features), got {x.shape}")
-        self._x = x
+        self._x = x if self.training else None
         return x @ self.weight.data + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -438,7 +443,7 @@ class LayerNorm(Module):
         var = x.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv
-        self._cache = (xhat, inv)
+        self._cache = (xhat, inv) if self.training else None
         return xhat * self.gamma.data + self.beta.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -495,7 +500,7 @@ class SelfAttention(Module):
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
         out = p @ v
-        self._cache = (q, k, v, p)
+        self._cache = (q, k, v, p) if self.training else None
         return self.proj.forward(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -30,8 +30,6 @@ assert cross-backend/cross-runtime agreement per draw.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Dict, List, Sequence, Tuple
@@ -128,9 +126,6 @@ class Scenario:
         A rule whose pattern matches *no* layer is a configuration error:
         a typo'd pattern would otherwise silently yield a uniform-
         precision sweep that still reports itself as mixed-precision.
-        Set ``REPRO_ALLOW_UNMATCHED_BITS=1`` to downgrade the error to a
-        warning (e.g. one rule list shared across recipes with different
-        layer sets).
         """
         resolved: Dict[str, int] = {}
         matched = [False] * len(self.bits)
@@ -143,15 +138,11 @@ class Scenario:
                     break
         unmatched = [pattern for (pattern, _), hit in zip(self.bits, matched) if not hit]
         if unmatched:
-            message = (
+            raise ConfigurationError(
                 f"scenario {self.name}: bit rule pattern(s) "
                 f"{', '.join(repr(p) for p in unmatched)} match no layer "
                 f"(layers: {', '.join(layer_names)})"
             )
-            if os.environ.get("REPRO_ALLOW_UNMATCHED_BITS"):
-                warnings.warn(message, RuntimeWarning, stacklevel=2)
-            else:
-                raise ConfigurationError(message)
         return resolved
 
     def describe(self) -> Dict[str, object]:

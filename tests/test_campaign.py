@@ -229,6 +229,18 @@ class TestRunStream:
         # cached 7 and 9 land before the computed 1
         assert order == [7, 9, 1]
 
+    def test_duplicates_are_computed_once_and_delivered_per_index(self, tmp_path):
+        jobs = [DummyJob(value=v) for v in (5, 6, 5, 5)]
+        engine = SimEngine(jobs=1, cache_dir=tmp_path)
+        seen = []
+        assert engine.run_stream(jobs, lambda i, r: seen.append((i, r))) == [5, 6, 5, 5]
+        assert sorted(seen) == [(0, 5), (1, 6), (2, 5), (3, 5)]
+        assert (engine.stats.misses, engine.stats.deduped) == (2, 2)
+        # a duplicate is cancelled only along with the job it duplicates
+        rerun = SimEngine(jobs=1, cache_dir=tmp_path / "cold")
+        results = rerun.run_stream(jobs, lambda i, r: [2, 3] if i == 1 else None)
+        assert results == [5, 6, 5, 5] and rerun.stats.cancelled == 0
+
     def test_no_callback_equals_run_many(self, tmp_path):
         jobs = [DummyJob(value=v) for v in (3, 1, 4)]
         engine = SimEngine(jobs=1, cache_dir=tmp_path)
@@ -242,8 +254,8 @@ STRATS = [MappingStrategy.BASELINE]
 CORNERS3 = list(PAPER_CORNERS[:3])
 
 
-def micro_campaign(cache_dir, artifacts_dir, **kwargs):
-    engine = SimEngine(backend="vector", jobs=1, cache_dir=Path(cache_dir))
+def micro_campaign(cache_dir, artifacts_dir, jobs=1, **kwargs):
+    engine = SimEngine(backend="vector", jobs=jobs, cache_dir=Path(cache_dir))
     kwargs.setdefault("max_trials", 12)
     kwargs.setdefault("shard_trials", 3)
     kwargs.setdefault("strategies", STRATS)
@@ -353,6 +365,20 @@ class TestCampaignEndToEnd:
         assert stable_manifest(resumed.manifest) == stable_manifest(
             reference.manifest
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fanned_out_campaign_reproduces_manifest(
+        self, warm, tmp_path, monkeypatch, jobs
+    ):
+        """With BLAS pinned, a jobs=1 campaign streams its shards over one
+        worker per CPU, as jobs=2 does: the manifest is the same."""
+        _, _, reference = warm
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        result, engine = micro_campaign(tmp_path / "cache", tmp_path / "art", jobs=jobs)
+        assert engine.workers == 2
+        assert result.manifest["complete"]
+        assert stable_manifest(result.manifest) == stable_manifest(reference.manifest)
 
     def test_early_stop_sound_and_saves_trials(self, warm, tmp_path):
         """Acceptance: same decisions as full budget, measurably fewer trials."""

@@ -5,7 +5,10 @@ needs ``import repro`` to load no numpy.  In a process whose BLAS is
 pinned, a ``jobs=1`` engine spreads each batch's cache-missing work over
 one worker process per usable CPU; elsewhere it runs inline.  Whatever
 the fan-out, every result equals the job's own ``execute()`` run alone,
-and the runtime counters (deduped trials) sum exactly.
+and the runtime counters (deduped trials) sum exactly.  ``run_many`` and
+``run_stream`` share that one dispatch loop: a failing unit withdraws
+the units no worker has started, and so does a streamed cancellation,
+which cancels a fused unit only once every job it delivers is cancelled.
 """
 
 import os
@@ -236,6 +239,54 @@ class TestFailedBatch:
         rerun = SimEngine(jobs=1, cache_dir=tmp_path / "results", remote=False)
         assert rerun.run_many(jobs[:3] + jobs[4:]) == [0, 1, 2, 4]
         assert (rerun.stats.hits, rerun.stats.misses) == (3, 1)
+
+
+class TestStreamCancellation:
+    """A callback's cancellation prevents only work that has not started."""
+
+    @pytest.mark.parametrize("keep_pool", [False, True])
+    def test_pool_withdraws_only_the_units_no_worker_started(self, tmp_path, keep_pool):
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        jobs = [_MarkJob(n, str(marks), sleep_s=0.2) for n in range(10)]
+        engine = SimEngine(
+            jobs=2, cache_dir=tmp_path / "results", keep_pool=keep_pool, remote=False
+        )
+        try:
+            # the first result cancels the whole batch
+            results = engine.run_stream(jobs, lambda i, result: range(len(jobs)))
+        finally:
+            engine.close()
+        ran = sorted(int(name) for name in os.listdir(marks))
+        # every unit that started was delivered, none that did not
+        assert ran == [i for i, result in enumerate(results) if result is not None]
+        assert all(results[i] == i for i in ran)
+        assert engine.stats.misses == len(ran)
+        assert engine.stats.cancelled == len(jobs) - len(ran) > 0
+
+    @pytest.mark.parametrize(
+        "asked, cancelled",
+        [((1,), 0), ((1, 2), 0), ((2, 3), 0), ((1, 2, 3), 3)],
+    )
+    def test_fused_unit_is_cancelled_only_with_all_its_jobs(
+        self, tmp_path, monkeypatch, asked, cancelled
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # jobs=1 runs inline
+        warm, first, second = (sim_job(seed) for seed in (10, 11, 12))
+        engine = SimEngine(cache_dir=tmp_path, remote=False)
+        assert engine.workers == 1
+        engine.run(warm)
+        before = engine.stats.snapshot()
+        # first and second fuse into one stacked unit; index 3 duplicates
+        # first, so it rides that unit too
+        batch = [warm, first, second, sim_job(11, label="twin")]
+        results = engine.run_stream(batch, lambda i, result: asked if i == 0 else None)
+        delta = engine.stats.since(before)
+        assert (delta.hits, delta.cancelled) == (1, cancelled)
+        assert [result is None for result in results] == [False] + [cancelled > 0] * 3
+        if not cancelled:
+            assert (delta.misses, delta.units, delta.deduped) == (2, 1, 1)
+            assert same_result(results[1], results[3])
 
 
 class TestJobKeyMemo:

@@ -25,7 +25,7 @@ from repro.engine.fuzz import (
 )
 
 #: Bounded CI-friendly campaign size; the dedicated CI fuzz job runs the
-#: full $REPRO_FUZZ_ITERS (>= 200) campaign via tools/fuzz_conformance.py.
+#: full 200-case campaign via tools/fuzz_conformance.py --cases 200.
 N_CASES = 40
 
 
@@ -228,7 +228,6 @@ def test_tools_entry_point_runs_bounded_campaign(tmp_path, monkeypatch, capsys):
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.setenv("REPRO_FUZZ_ITERS", "4")
     monkeypatch.chdir(tmp_path)
-    assert tool.main([]) == 0
+    assert tool.main(["--cases", "4"]) == 0
     assert "all conformant" in capsys.readouterr().out

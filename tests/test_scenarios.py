@@ -58,15 +58,6 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError, match="convX"):
             sc.resolve_bits(["conv0", "conv1", "fc"])
 
-    def test_unmatched_bit_rule_warns_under_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOW_UNMATCHED_BITS", "1")
-        sc = Scenario(
-            name="s", recipe="vgg16_cifar10", bits=(("convX*", 4), ("fc", 4)),
-        )
-        with pytest.warns(RuntimeWarning, match="convX"):
-            resolved = sc.resolve_bits(["conv0", "conv1", "fc"])
-        assert resolved == {"fc": 4}
-
     def test_strategy_names_accepted(self):
         sc = Scenario(name="s", recipe="vgg16_cifar10", strategies=("reorder",))
         assert sc.strategies[0].value == "reorder"

@@ -4,14 +4,17 @@ The serve-mode contract this module pins:
 
 * a daemon-routed batch is **bit-identical** to in-process execution
   (same jobs, same cache serializers — a round trip is a cache hit by
-  construction), including stacked ``NetworkJob`` submissions;
+  construction); ``run_many`` expands a stacked ``NetworkJob`` before it
+  routes, and the daemon refuses one sent to it directly;
 * identical jobs submitted by concurrent clients **coalesce**: exactly
   one simulation per unique key, every client gets the result, and the
   ``coalesced`` counter says so;
 * with ``$REPRO_ENGINE_SOCKET`` set, ``run_many``/``run_stream`` route
   transparently — stats fold back into the client engine — and fall
-  back in-process (with one RuntimeWarning) when no daemon answers;
-* streams deliver frame-by-frame with mid-flight cancellation;
+  back in-process (with one RuntimeWarning) when no daemon answers, or
+  when it dies before a callback consumed a result;
+* ``run_many`` and ``run_stream`` agree inline, on a pool and routed;
+* results arrive frame-by-frame with mid-flight cancellation;
 * a SIGKILLed daemon loses nothing: restart + resubmit is 100% cache
   hits (the kill-and-restart mirror of the campaign's SIGTERM chain);
 * 50 request rounds leave the daemon's RSS bounded;
@@ -48,8 +51,11 @@ from repro.engine import (
     SimJob,
     feed_hash,
 )
+from repro.engine import client as client_module
 from repro.engine.protocol import (
+    PROTOCOL_VERSION,
     ProtocolError,
+    decode_jobs,
     decode_result,
     encode_result,
     recv_message,
@@ -80,21 +86,25 @@ def make_job(seed=0, **kwargs):
 
 @dataclass(frozen=True)
 class SlowJob(EngineJob):
-    """Test-only job: sleeps ``delay`` seconds, returns ``value * 2``."""
+    """Test-only job: sleeps ``delay`` seconds, returns ``value * 2``
+    (or raises, with ``fail``)."""
 
     value: int = 0
     delay: float = 0.0
+    fail: bool = False
 
     kind = "slow"
 
     def key(self) -> str:
         h = hashlib.sha256()
-        feed_hash(h, "test-slowjob", self.value, self.delay)
+        feed_hash(h, "test-slowjob", self.value, self.delay, self.fail)
         return h.hexdigest()
 
     def execute(self, backend_factory):
         if self.delay:
             time.sleep(self.delay)
+        if self.fail:
+            raise RuntimeError(f"slow job {self.value} failed")
         return self.value * 2
 
     @staticmethod
@@ -130,6 +140,33 @@ def server(tmp_path):
 @pytest.fixture()
 def client(server):
     return EngineClient(str(server.socket_path))
+
+
+def hold_first_request(server):
+    """Park the daemon's first request after it claims its keys, until a
+    second request has claimed (and so attached to) the same keys.
+
+    Returns the list of claim sizes, which fills as requests arrive.
+    """
+    gate = threading.Event()
+    claims = []
+
+    def hold(n_flat):
+        claims.append(n_flat)
+        if len(claims) == 1:
+            assert gate.wait(20), "second request never arrived"
+        else:
+            gate.set()
+
+    server._before_execute = hold
+    return claims
+
+
+def wait_for_claim(claims):
+    deadline = time.time() + 20
+    while not claims and time.time() < deadline:
+        time.sleep(0.005)
+    assert claims, "first request never claimed"
 
 
 def solo_results(jobs):
@@ -237,15 +274,21 @@ class TestEngineMetrics:
 # Verbs and batch submission
 # ---------------------------------------------------------------------- #
 class TestServerBasics:
-    def test_ping_status_metrics(self, server, client):
+    def test_ping_status_metrics(self, server, client, monkeypatch):
         pong = client.ping()
         assert pong["pid"] == os.getpid() and pong["backend"] == "vector"
+        assert pong["protocol"] == PROTOCOL_VERSION == 2
         status = client.status()
         assert status["jobs"] == 1 and status["inflight"] == 0
         assert status["cache"]["entries"] == 0
         metrics = client.metrics()
         assert metrics["metrics"]["requests"] == 0
         assert metrics["rss_kb"] > 0
+        # a client of the previous protocol refuses this daemon (and so
+        # falls back in-process)
+        monkeypatch.setattr(client_module, "PROTOCOL_VERSION", 1)
+        with pytest.raises(EngineClientError, match="speaks protocol 2"):
+            client.ping()
 
     def test_batch_bit_identical_and_warm_resubmit(self, server, client):
         jobs = [make_job(seed) for seed in range(3)]
@@ -262,16 +305,44 @@ class TestServerBasics:
         assert counters["misses"] == 3 and counters["hits"] == 3
         assert counters["requests"] == 2 and counters["latency_seconds"] > 0
 
-    def test_network_job_rides_flat_submissions_cache(self, server, client):
+    def test_network_job_rides_flat_submissions_cache(
+        self, server, client, monkeypatch
+    ):
+        # run_many expands a NetworkJob before it routes, so its members
+        # coalesce with an in-flight flat submission of the same jobs.
         jobs = [make_job(seed) for seed in (7, 8)]
-        flat_results, _ = client.submit(jobs)
-        stacked, delta = client.submit([NetworkJob(jobs=tuple(jobs))])
-        # member-key fan-out: the stacked submission is fully satisfied
-        # by the flat runs' cache entries
-        assert delta["hits"] == 2 and delta["misses"] == 0
+        claims = hold_first_request(server)
+        flat = {}
+
+        def flat_client():
+            flat["results"], flat["stats"] = EngineClient(
+                str(server.socket_path)
+            ).submit(jobs)
+
+        thread = threading.Thread(target=flat_client)
+        thread.start()
+        wait_for_claim(claims)
+        monkeypatch.setenv(ENGINE_SOCKET_ENV, str(server.socket_path))
+        engine = SimEngine(backend="vector", use_cache=False)
+        stacked = engine.run_many([NetworkJob(jobs=tuple(jobs))])
+        thread.join(30)
+        assert not thread.is_alive()
+        assert claims == [2, 2]  # the daemon saw two flat jobs each time
+        assert flat["stats"]["misses"] == 2
+        assert engine.stats.coalesced == 2 and engine.stats.misses == 0
         assert isinstance(stacked[0], list) and len(stacked[0]) == 2
-        for got, want in zip(stacked[0], flat_results):
+        for got, want in zip(stacked[0], flat["results"]):
             assert_reports_identical(got, want)
+        # cached per member key only
+        assert client.cache_stats()["stats"]["entries"] == 2
+
+    def test_network_job_is_refused_and_stores_nothing(self, server, client):
+        stacked = NetworkJob(jobs=(make_job(9), make_job(10)))
+        with pytest.raises(EngineClientError, match="flat jobs"):
+            client.submit([stacked])
+        assert client.cache_stats()["stats"]["entries"] == 0
+        assert server.metrics.requests == 0
+        assert client.ping()["ok"]  # the daemon survives
 
     def test_duplicate_keys_within_a_batch_dedupe(self, server, client):
         job = make_job(21)
@@ -294,7 +365,7 @@ class TestServerBasics:
         self, server, client
     ):
         with pytest.raises(EngineClientError):
-            client._request({"verb": "submit", "mode": "batch"}, [b"garbage"])
+            client._request({"verb": "submit"}, [b"garbage"])
         assert client.ping()["ok"]
 
 
@@ -335,6 +406,102 @@ class TestRouting:
         assert seen[0] == (0, 2)
         assert engine.stats.cancelled == 1 and engine.stats.requests == 1
         assert server.metrics.cancelled == 1
+
+    @pytest.mark.parametrize("route", ["inline", "jobs2", "daemon"])
+    def test_run_many_and_run_stream_agree(self, server, tmp_path, monkeypatch, route):
+        jobs = [make_job(seed, corners=PAPER_CORNERS[:1]) for seed in (70, 71, 72)]
+        batch = [jobs[0], jobs[1], jobs[0], jobs[2], jobs[1]]  # two duplicates
+
+        def engine_with_one_warm_entry(name):
+            # jobs[2] is a cache hit, jobs[0] and jobs[1] simulate
+            if route == "daemon":
+                client = EngineClient(str(server.socket_path))
+                client.cache_gc(max_bytes=0)
+                client.submit([jobs[2]])
+                monkeypatch.setenv(ENGINE_SOCKET_ENV, str(server.socket_path))
+                return SimEngine(use_cache=False)
+            engine = SimEngine(
+                jobs=2 if route == "jobs2" else 1,
+                cache_dir=tmp_path / name,
+                remote=False,
+            )
+            engine.run(jobs[2])
+            return engine
+
+        def counted(engine, method, *args):
+            before = engine.stats.snapshot()
+            results = getattr(engine, method)(*args)
+            delta = engine.stats.since(before)
+            return results, (delta.hits, delta.misses, delta.deduped, delta.units)
+
+        engine = engine_with_one_warm_entry("many")
+        many, many_counts = counted(engine, "run_many", batch)
+        # a NetworkJob's result is its members' flat results
+        stacked, _ = counted(engine, "run_many", [NetworkJob(jobs=tuple(batch))])
+        seen = []
+        streamed, stream_counts = counted(
+            engine_with_one_warm_entry("stream"),
+            "run_stream",
+            batch,
+            lambda i, result: seen.append(i),
+        )
+        assert many_counts == stream_counts
+        assert many_counts[:3] == (1, 2, 2) and many_counts[3] >= 1
+        assert sorted(seen) == list(range(len(batch)))
+        assert len(stacked) == 1 and len(stacked[0]) == len(batch)
+        for got_many, got_stacked, got_stream, want in zip(
+            many, stacked[0], streamed, solo_results(batch)
+        ):
+            for got in (got_many, got_stacked, got_stream):
+                assert_reports_identical(got, want)
+
+    def test_daemon_dying_mid_reply(self, tmp_path, monkeypatch):
+        """run_many falls back; a stream whose callback saw a result raises."""
+        socket_path = tmp_path / "dying.sock"
+        listener = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+        listener.bind(str(socket_path))
+        listener.listen(8)
+        listener.settimeout(0.2)
+        stop = threading.Event()
+
+        def serve():
+            # answers ping, then dies after a submission's first result
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket_mod.timeout:
+                    continue
+                with conn:
+                    header, blobs = recv_message(conn)
+                    if header["verb"] == "ping":
+                        send_message(conn, {"ok": True, "protocol": PROTOCOL_VERSION})
+                        continue
+                    first = decode_jobs(blobs[0])[0]
+                    send_message(
+                        conn,
+                        {"type": "result", "index": 0},
+                        [encode_result(first, first.execute(None))],
+                    )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            monkeypatch.setenv(ENGINE_SOCKET_ENV, str(socket_path))
+            jobs = [SlowJob(value=v) for v in (1, 2, 3)]
+            engine = SimEngine(use_cache=False)
+            with pytest.warns(RuntimeWarning, match="falling back to in-process"):
+                assert engine.run_many(jobs) == [2, 4, 6]
+            assert engine.stats.requests == 0 and engine.stats.misses == 3
+            seen = []
+            with pytest.raises(EngineClientError, match="submit failed"):
+                SimEngine(use_cache=False).run_stream(
+                    jobs, lambda i, result: seen.append((i, result))
+                )
+            assert seen == [(0, 2)]
+        finally:
+            stop.set()
+            thread.join(10)
+            listener.close()
 
     def test_fallback_warns_once_and_runs_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENGINE_SOCKET_ENV, str(tmp_path / "nobody-home.sock"))
@@ -421,19 +588,9 @@ class TestRouting:
 class TestCoalescing:
     def test_identical_concurrent_batches_simulate_once(self, server, client):
         jobs = [make_job(seed, corners=PAPER_CORNERS[:1]) for seed in range(40, 43)]
-        gate = threading.Event()
-        claims = []
-
-        def hold_first_batch(n_flat):
-            claims.append(n_flat)
-            if len(claims) == 1:
-                # first request: it claimed every key; park it until the
-                # second request has registered against the same keys
-                assert gate.wait(20), "second request never arrived"
-            else:
-                gate.set()
-
-        server._before_execute = hold_first_batch
+        # first request: it claimed every key; park it until the second
+        # request has registered against the same keys
+        claims = hold_first_request(server)
         first_out = {}
 
         def first_client():
@@ -443,9 +600,7 @@ class TestCoalescing:
 
         thread = threading.Thread(target=first_client)
         thread.start()
-        deadline = time.time() + 20
-        while not claims and time.time() < deadline:
-            time.sleep(0.005)
+        wait_for_claim(claims)
         assert claims == [3], "first batch never claimed"
         # second client submits the identical batch mid-flight; its
         # handler's _before_execute call releases the gate only after it
@@ -467,6 +622,29 @@ class TestCoalescing:
             assert_reports_identical(got_a, want)
             assert_reports_identical(got_b, want)
         assert not server._inflight  # registry drains
+
+    def test_failed_recompute_fails_the_waiting_request(self, server, client):
+        # The owner's run fails, so the waiting request recomputes; that
+        # fails too, and its client must get an error, not a None result.
+        job = SlowJob(value=98, fail=True)
+        claims = hold_first_request(server)
+        first = {}
+
+        def first_client():
+            try:
+                EngineClient(str(server.socket_path)).submit([job])
+            except EngineClientError as exc:
+                first["error"] = exc
+
+        thread = threading.Thread(target=first_client)
+        thread.start()
+        wait_for_claim(claims)
+        with pytest.raises(EngineClientError, match="slow job 98 failed"):
+            client.submit([job])
+        thread.join(30)
+        assert not thread.is_alive()
+        assert "slow job 98 failed" in str(first["error"])
+        assert not server._inflight
 
     def test_soak_50_rounds_bounded_rss(self, server, client):
         jobs = [make_job(seed, corners=PAPER_CORNERS[:1]) for seed in (50, 51)]

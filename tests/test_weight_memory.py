@@ -7,8 +7,9 @@ GEMM op, shared by the int64 reference GEMM and every simulation job.
 These tests pin that nothing else survives: no gradient buffer, no
 BN-folded float copy once an op is calibrated, no per-job or
 per-experiment int64 lowering, no int64 ``weight_q``, and no backward
-cache once training returns — with tracemalloc bounds on loading the
-four micro paper bundles and on training one.
+cache once training returns or after any inference pass — with
+tracemalloc bounds on loading the four micro paper bundles, on training
+one and on evaluating a float model.
 """
 
 import gc
@@ -25,8 +26,9 @@ from repro.experiments.common import (
     get_bundle,
 )
 from repro.hw.variations import PAPER_CORNERS
+from repro.errors import TrainingError
 from repro.nn.datasets import DatasetSpec, SyntheticImageDataset, load_dataset
-from repro.nn.layers import Module
+from repro.nn.layers import BatchNorm2d, Module
 from repro.nn.models import build_model
 from repro.nn.quantize import QuantizedConv, QuantizedMatmul, quantize_model, quantize_weights
 from repro.nn.training import Trainer
@@ -46,6 +48,11 @@ LOADED_BOUND_MB = 40
 #: Measured: 6.2 MB; 309.8 MB while the float model kept the last
 #: batch's im2col columns, BatchNorm caches and ReLU masks.
 TRAINED_BOUND_MB = 24
+
+#: tracemalloc bound after ``Trainer.evaluate`` of 64 32x32 images on a
+#: width-0.125 ResNet-18.  Measured: 0.0 MB; 326.4 MB while every module
+#: kept its backward state (the im2col columns above all) in eval mode.
+EVAL_BOUND_MB = 8
 
 
 def _backward_state(model: Module):
@@ -111,6 +118,43 @@ class TestTrainingLeavesNoBackwardState:
         assert traced / 1e6 < TRAINED_BOUND_MB, f"{traced / 1e6:.1f} MB traced"
         assert (tmp_path / "resnet34_imagenet32-micro-w0.125-n192-e1-s0.npz").exists()
         assert _backward_state(bundle.model) == []
+
+
+class TestInferenceKeepsNoBackwardState:
+    @pytest.fixture(scope="class")
+    def images(self):
+        ds = SyntheticImageDataset(DatasetSpec(name="t", n_classes=10, image_size=32))
+        return ds.sample(64, stream_seed=0)
+
+    def test_evaluate_leaves_a_bounded_heap(self, images):
+        model = build_model("resnet18", n_classes=10, width=0.125, seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            Trainer(model, seed=0).evaluate(*images)
+            gc.collect()
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traced / 1e6 < EVAL_BOUND_MB, f"{traced / 1e6:.1f} MB traced"
+
+    @pytest.mark.parametrize("name", ["resnet18", "vgg16", "mobilenet", "mixer"])
+    def test_eval_forward_keeps_nothing_and_changes_no_bit(self, images, name):
+        x, _ = images
+        model = build_model(name, n_classes=10, width=0.125, seed=0)
+        model.forward(x[:8])  # training mode: every module caches
+        assert _backward_state(model)
+        logits = model.eval().forward(x)
+        assert _backward_state(model) == []
+        with pytest.raises(TrainingError, match="backward called before forward"):
+            model.backward(np.ones_like(logits))
+        # Flagged as training, every module but batch norm (whose
+        # statistics read the mode) caches as in a training step: the
+        # logits are the same bytes.
+        for module in model.modules():
+            module.training = not isinstance(module, BatchNorm2d)
+        assert model.forward(x).tobytes() == logits.tobytes()
+        assert _backward_state(model)
 
 
 class TestCalibratedOpsHoldNoFloatWeights:

@@ -12,13 +12,12 @@ Usage::
     PYTHONPATH=src python tools/fuzz_conformance.py [--seed 7]
         [--cases N] [--failures-file fuzz_failures.txt]
 
-``$REPRO_FUZZ_ITERS`` overrides the case count (the CI job pins it to
-at least 200); the seed is fixed so a red CI run is reproducible
-locally with the exact same command.
+``--cases`` defaults to ``DEFAULT_CASES`` (200, the count CI runs); the
+seed is fixed so a red CI run is reproducible locally with the exact
+same command.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -33,19 +32,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cases",
         type=int,
-        default=None,
-        help="case count (default: $REPRO_FUZZ_ITERS or %d)" % DEFAULT_CASES,
+        default=DEFAULT_CASES,
+        help="case count (default: %d)" % DEFAULT_CASES,
     )
     parser.add_argument("--failures-file", default="fuzz_failures.txt")
     args = parser.parse_args(argv)
 
-    n_cases = args.cases
-    if n_cases is None:
-        n_cases = int(os.environ.get("REPRO_FUZZ_ITERS", DEFAULT_CASES))
-
-    report = fuzz(args.seed, n_cases, log=print)
+    report = fuzz(args.seed, args.cases, log=print)
     if report.ok:
-        print(f"fuzz_conformance: {n_cases} cases, seed {args.seed}: all conformant")
+        print(f"fuzz_conformance: {args.cases} cases, seed {args.seed}: all conformant")
         return 0
     lines = [repro_command(case) for _, case, _ in report.failures]
     Path(args.failures_file).write_text("\n".join(lines) + "\n")
